@@ -10,8 +10,6 @@ evaluated already.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
-from typing import Sequence
 
 from .errors import StateCapError
 from .network import Assignment, BayesianNetwork, check_assignment, topological_order
@@ -57,30 +55,17 @@ class MarkovChain:
         ) + ")"
 
 
-def size_bound(bn: BayesianNetwork, order: Sequence[int] | None = None) -> int:
+def size_bound(bn: BayesianNetwork) -> int:
     """Exact state count of the unpruned chain: 1 + sum of domain-size prefixes."""
-    order = list(order) if order is not None else topological_order(bn)
     total, prefix = 1, 1
-    for var_id in order:
+    for var_id in topological_order(bn):
         prefix *= len(bn.variables[var_id].domain)
         total += prefix
     return total
 
 
-def _check_order(bn: BayesianNetwork, order: Sequence[int]) -> tuple[int, ...]:
-    order = tuple(order)
-    if sorted(order) != [v.id for v in bn.variables]:
-        raise ValueError("order must be a permutation of all variable ids")
-    position = {v: i for i, v in enumerate(order)}
-    for p, c in bn.edges:
-        if position[p] > position[c]:
-            raise ValueError(f"order is not topological: edge {p} -> {c} reversed")
-    return order
-
-
 def build_mc(
     bn: BayesianNetwork,
-    order: Sequence[int] | None = None,
     *,
     keep_zero_edges: bool = False,
     state_cap: int = DEFAULT_STATE_CAP,
@@ -90,8 +75,8 @@ def build_mc(
     Zero-probability CPT entries are pruned unless `keep_zero_edges` is set;
     construction refuses outright when the unpruned bound exceeds `state_cap`.
     """
-    order = _check_order(bn, order) if order is not None else tuple(topological_order(bn))
-    bound = size_bound(bn, order)
+    order = tuple(topological_order(bn))
+    bound = size_bound(bn)
     if bound > state_cap:
         raise StateCapError(
             f"chain would have up to {bound} states, above the cap of {state_cap}; "
@@ -167,8 +152,3 @@ def path_probability(mc: MarkovChain, final_index: int) -> float:
         else:
             raise ValueError(f"state {final_index} is unreachable")
     return product
-
-
-def outgoing_sums(mc: MarkovChain) -> list[float]:
-    """Per-state sums of outgoing probabilities (diagnostic)."""
-    return [fsum(p for p, _ in row) for row in mc.transitions]

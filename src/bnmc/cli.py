@@ -12,8 +12,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 from . import bif, chain, export, oracle, psdd, reach, symbolic
 from .errors import (
@@ -39,14 +39,24 @@ def _load_network(path: str) -> BayesianNetwork:
 def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    return json.loads(Path(args.config).read_text("utf-8"))
+    config = json.loads(Path(args.config).read_text("utf-8"))
+    if not isinstance(config, dict):
+        raise BnmcError(f"config file {args.config} must hold a JSON object")
+    return config
+
+
+def _config_int(config: dict, key: str) -> int:
+    value = config[key]
+    if type(value) is not int:
+        raise BnmcError(f"config value {key} must be an integer, got {value!r}")
+    return value
 
 
 def _state_cap(args, config: dict) -> int:
     if getattr(args, "state_cap", None) is not None:
         return args.state_cap
     if "state_cap" in config:
-        return int(config["state_cap"])
+        return _config_int(config, "state_cap")
     env = os.environ.get("BNMC_STATE_CAP")
     if env is not None:
         return int(env)
@@ -54,30 +64,29 @@ def _state_cap(args, config: dict) -> int:
 
 
 def _enum_cap(config: dict) -> int:
-    return int(config.get("enum_cap", oracle.DEFAULT_ENUM_CAP))
+    if "enum_cap" in config:
+        return _config_int(config, "enum_cap")
+    return oracle.DEFAULT_ENUM_CAP
 
 
-def _parse_bindings(bn: BayesianNetwork, items: list[str]) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _parse_bindings(items: list[str], decode: Callable[[str, str], tuple]) -> dict:
+    """`var=value` items as a binding; `decode(var, value)` gives its key and value."""
+    out: dict = {}
     for item in items:
         name, sep, label = item.partition("=")
         if not sep:
             raise BnmcError(f"binding {item!r} is not of the form var=value")
-        v = bn.by_name(name)
-        if label not in v.domain:
-            raise BnmcError(
-                f"value {label!r} not in the domain of {v.name} {list(v.domain)}"
-            )
-        if v.id in out:
-            raise BnmcError(f"variable {v.name} bound twice")
-        out[v.id] = v.domain.index(label)
+        key, value = decode(name, label)
+        if key in out:
+            raise BnmcError(f"variable {name} bound twice")
+        out[key] = value
     return out
 
 
-def _query_from_args(bn: BayesianNetwork, args) -> reach.ReachQuery:
+def _query_from_args(args, decode: Callable[[str, str], tuple]) -> reach.ReachQuery:
     return reach.ReachQuery(
-        evidence=_parse_bindings(bn, args.ev),
-        hypothesis=_parse_bindings(bn, args.hyp),
+        evidence=_parse_bindings(args.ev, decode),
+        hypothesis=_parse_bindings(args.hyp, decode),
     )
 
 
@@ -119,7 +128,16 @@ def cmd_translate(args) -> int:
 def cmd_infer(args) -> int:
     bn = _load_network(args.network)
     config = _load_config(args)
-    query = _query_from_args(bn, args)
+
+    def domain_label(name: str, label: str) -> tuple[int, int]:
+        v = bn.by_name(name)
+        if label not in v.domain:
+            raise BnmcError(
+                f"value {label!r} not in the domain of {v.name} {list(v.domain)}"
+            )
+        return v.id, v.domain.index(label)
+
+    query = _query_from_args(args, domain_label)
     engines = (
         ("explicit", "symbolic", "oracle") if args.engine == "all" else (args.engine,)
     )
@@ -151,21 +169,11 @@ def cmd_bench(args) -> int:
     counts = [int(c) for c in args.counts.split(",") if c != ""]
     if any(c < 0 for c in counts):
         raise BnmcError("counts must be nonnegative")
-
-    def run_one(count: int) -> symbolic.BenchResult:
-        # One manager per worker: compile afresh so cache mutation stays local.
-        sym = symbolic.compile_network(bn)
-        return symbolic.bench_evidence(sym, args.strategy, count, args.seed)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, counts))
-    else:
-        sym = symbolic.compile_network(bn)
-        results = [
-            symbolic.bench_evidence(sym, args.strategy, count, args.seed)
-            for count in counts
-        ]
+    sym = symbolic.compile_network(bn)
+    results = [
+        symbolic.bench_evidence(sym, args.strategy, count, args.seed)
+        for count in counts
+    ]
     results.sort(key=lambda r: r.evidence_count)
 
     if args.csv:
@@ -193,39 +201,18 @@ def cmd_psdd_eval(args) -> int:
         bad = [v.node_id for v in report.verdicts if not v.ok]
         raise psdd.PsddParseError(f"partition property fails at decision nodes {bad}")
 
-    def bindings(items: list[str]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for item in items:
-            name, sep, label = item.partition("=")
-            if not sep:
-                raise BnmcError(f"binding {item!r} is not of the form var=value")
-            if name not in diagram.variables:
-                raise BnmcError(f"unknown PSDD variable {name!r}")
-            lowered = label.lower()
-            if lowered in ("1", "true", "t"):
-                out[name] = 1
-            elif lowered in ("0", "false", "f"):
-                out[name] = 0
-            else:
-                raise BnmcError(f"PSDD values must be boolean, got {label!r}")
-        return out
+    def boolean(name: str, label: str) -> tuple[str, int]:
+        if name not in diagram.variables:
+            raise BnmcError(f"unknown PSDD variable {name!r}")
+        lowered = label.lower()
+        if lowered in ("1", "true", "t"):
+            return name, 1
+        if lowered in ("0", "false", "f"):
+            return name, 0
+        raise BnmcError(f"PSDD values must be boolean, got {label!r}")
 
-    evidence = bindings(args.ev)
-    hypothesis = bindings(args.hyp)
-    for name, value in hypothesis.items():
-        if evidence.get(name, value) != value:
-            raise BnmcError(f"variable {name} bound to conflicting values")
-    term = dict(evidence)
-    term.update(hypothesis)
-    if evidence:
-        denominator = psdd.prob_term(diagram, evidence)
-        if denominator < reach.ILL_CONDITIONED_EPS:
-            raise IllConditionedQueryError(
-                "evidence has probability zero; the query is ill-conditioned"
-            )
-        print(repr(psdd.prob_term(diagram, term) / denominator))
-    else:
-        print(repr(psdd.prob_term(diagram, term)))
+    query = _query_from_args(args, boolean)
+    print(repr(reach.conditional(lambda b: psdd.prob_term(diagram, b), query)))
     return EXIT_OK
 
 
@@ -268,10 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default="1", help="comma-separated evidence counts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="CSV output path, or - for stdout")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("psdd-eval", help="evaluate a PSDD term")
+    p = sub.add_parser("psdd-eval", help="evaluate a PSDD term given evidence")
     p.add_argument("vtree", help="vtree file")
     p.add_argument("psdd", help="psdd file")
     p.add_argument("--ev", action="append", default=[], metavar="VAR=VALUE")

@@ -270,10 +270,3 @@ def subnetwork(bn: BayesianNetwork, keep: Iterable[int]) -> BayesianNetwork:
         for i in keep_ids
     )
     return network_from_cpts(bn.name, variables, cpts)
-
-
-def full_assignments(bn: BayesianNetwork) -> Iterable[dict[int, int]]:
-    """All full assignments in deterministic variable-index order."""
-    sizes = [len(v.domain) for v in bn.variables]
-    for values in product(*(range(s) for s in sizes)):
-        yield dict(enumerate(values))

@@ -11,9 +11,9 @@ from itertools import product
 from math import fsum
 from typing import Mapping
 
-from .errors import EnumerationCapError, IllConditionedQueryError
+from .errors import EnumerationCapError
 from .network import BayesianNetwork, check_assignment
-from .reach import ILL_CONDITIONED_EPS, ReachQuery
+from .reach import ReachQuery, conditional
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -50,12 +50,5 @@ def oracle_infer(
         raise EnumerationCapError(
             f"{total} full assignments exceed the enumeration cap of {enum_cap}"
         )
-    check_assignment(bn, q.evidence)
-    check_assignment(bn, q.hypothesis)
-    denominator = _mass(bn, q.evidence)
-    if denominator < ILL_CONDITIONED_EPS:
-        raise IllConditionedQueryError(
-            "evidence has probability zero; the query is ill-conditioned"
-        )
-    numerator = _mass(bn, q.combined())
-    return numerator / denominator
+    check_assignment(bn, q.combined())
+    return conditional(lambda b: _mass(bn, b), q)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .chain import MarkovChain, final_states
 from .errors import IllConditionedQueryError, MalformedQueryError, PathCapError
@@ -60,21 +60,29 @@ def reach_probability(mc: MarkovChain, goal: Iterable[int]) -> float:
     return min(1.0, max(0.0, values[mc.initial]))
 
 
+def conditional(mass: Callable[[Mapping[int, int]], float], q: ReachQuery) -> float:
+    """P(hypothesis | evidence) as mass(evidence and hypothesis) / mass(evidence).
+
+    `mass` gives the probability of a partial assignment; it is the only part
+    an engine supplies. The evidence mass is computed first and refused below
+    ILL_CONDITIONED_EPS before the numerator is computed.
+    """
+    denominator = mass(q.evidence)
+    if denominator < ILL_CONDITIONED_EPS:
+        raise IllConditionedQueryError(
+            "evidence has probability zero; the query is ill-conditioned"
+        )
+    return mass(q.combined()) / denominator
+
+
 def conditional_query(mc: MarkovChain, q: ReachQuery) -> float:
     """Conditional probability of the hypothesis given the evidence.
 
     Both eventualities collapse to one goal set of final states because
     evaluations only grow along a path of the tree-shaped chain.
     """
-    check_assignment(mc.network, q.evidence)
-    check_assignment(mc.network, q.hypothesis)
-    denominator = reach_probability(mc, final_states(mc, q.evidence))
-    if denominator < ILL_CONDITIONED_EPS:
-        raise IllConditionedQueryError(
-            "evidence has probability zero; the query is ill-conditioned"
-        )
-    numerator = reach_probability(mc, final_states(mc, q.combined()))
-    return numerator / denominator
+    check_assignment(mc.network, q.combined())
+    return conditional(lambda b: reach_probability(mc, final_states(mc, b)), q)
 
 
 def _satisfies(mc: MarkovChain, state_index: int, binding: Mapping[int, int]) -> bool:
@@ -119,8 +127,7 @@ def check_prop2(
     satisfies the evidence; the right side is one reachability query on the
     states satisfying both at once.
     """
-    check_assignment(mc.network, q.evidence)
-    check_assignment(mc.network, q.hypothesis)
+    check_assignment(mc.network, q.combined())
     lhs_terms = []
     for path, product in enumerate_paths(mc, path_cap):
         sees_h = any(_satisfies(mc, s, q.hypothesis) for s in path)

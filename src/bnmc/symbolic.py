@@ -14,12 +14,13 @@ import csv
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import BitWidthError, IllConditionedQueryError
 from .mtbdd import MtbddManager, NodeRef
 from .network import BayesianNetwork, check_assignment, topological_order
-from .reach import ILL_CONDITIONED_EPS, ReachQuery
+from .reach import ReachQuery, conditional
 
 MAX_TOTAL_BITS = 62
 
@@ -100,43 +101,30 @@ def _table_diagram(
         key = tuple(values[p] for p in cpt.parents)
         return cpt.rows[key][values[var_id]]
 
-    def build(i: int, bits: dict[tuple[int, int], int]) -> NodeRef:
-        if i == len(levels):
-            return mgr.terminal(probability(bits))
-        level, w, k = levels[i]
-        bits[(w, k)] = 0
-        lo = build(i + 1, bits)
-        bits[(w, k)] = 1
-        hi = build(i + 1, bits)
-        del bits[(w, k)]
-        return lo if lo == hi else mgr.node(mgr.variables[level], lo, hi)
+    # Leaves in lexicographic bit order, then one level merged per pass from
+    # the bottom: siblings differ only in the last remaining level's bit. An
+    # iterative build leaves no self-referencing closure to keep `mgr` alive.
+    nodes = [
+        mgr.terminal(probability({(w, k): b for (_, w, k), b in zip(levels, bits)}))
+        for bits in product((0, 1), repeat=len(levels))
+    ]
+    for level, _, _ in reversed(levels):
+        var = mgr.variables[level]
+        nodes = [
+            lo if lo == hi else mgr.node(var, lo, hi)
+            for lo, hi in zip(nodes[0::2], nodes[1::2])
+        ]
+    return nodes[0]
 
-    return build(0, {})
 
-
-def compile_network(
-    bn: BayesianNetwork,
-    order: Sequence[int] | None = None,
-    *,
-    bit_order: Sequence[str] | None = None,
-) -> SymbolicBn:
+def compile_network(bn: BayesianNetwork) -> SymbolicBn:
     """Build one diagram per CPT, then their product in topological order.
 
-    The default diagram order keeps each variable's bits adjacent, variables
-    in topological order. `bit_order` overrides it with any permutation of
-    the same labels (an experimentation knob; sizes vary, results do not).
+    The diagram order keeps each variable's bits adjacent, variables in
+    topological order.
     """
-    order = tuple(order) if order is not None else tuple(topological_order(bn))
+    order = tuple(topological_order(bn))
     encoding = BitEncoding.from_network(bn, order)
-    if bit_order is not None:
-        if sorted(bit_order) != sorted(encoding.order):
-            raise ValueError(
-                "bit_order must be a permutation of the encoding labels "
-                f"{list(encoding.order)}"
-            )
-        encoding = BitEncoding(
-            order=tuple(bit_order), bits=encoding.bits, sizes=encoding.sizes
-        )
     if len(encoding.order) > MAX_TOTAL_BITS:
         raise BitWidthError(
             f"network needs {len(encoding.order)} bits, more than the supported "
@@ -180,15 +168,8 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
 
 def infer(sym: SymbolicBn, q: ReachQuery) -> float:
     """Conditional probability via restriction and sum-abstraction."""
-    check_assignment(sym.network, q.evidence)
-    check_assignment(sym.network, q.hypothesis)
-    denominator = _restricted_mass(sym, q.evidence)
-    if denominator < ILL_CONDITIONED_EPS:
-        raise IllConditionedQueryError(
-            "evidence has probability zero; the query is ill-conditioned"
-        )
-    numerator = _restricted_mass(sym, q.combined())
-    return numerator / denominator
+    check_assignment(sym.network, q.combined())
+    return conditional(lambda b: _restricted_mass(sym, b), q)
 
 
 # -- evidence-strategy benchmark ------------------------------------------------

@@ -9,7 +9,14 @@ from bnmc.errors import IllConditionedQueryError, MalformedQueryError, PathCapEr
 from bnmc.gen import random_network, random_query
 from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.oracle import oracle_infer
-from bnmc.reach import ReachQuery, check_prop2, conditional_query, reach_probability
+from bnmc.reach import (
+    ILL_CONDITIONED_EPS,
+    ReachQuery,
+    check_prop2,
+    conditional,
+    conditional_query,
+    reach_probability,
+)
 
 
 def test_reach_quoted_evidence_probability(student_mood):
@@ -62,6 +69,27 @@ def test_conditional_query_ill_conditioned():
     mc = build_mc(bn)
     with pytest.raises(IllConditionedQueryError):
         conditional_query(mc, ReachQuery(evidence={1: 1}))
+
+
+@pytest.mark.parametrize(
+    "denominator, refused",
+    [(ILL_CONDITIONED_EPS, False), (ILL_CONDITIONED_EPS * (1 - 1e-15), True)],
+)
+def test_conditional_refuses_below_epsilon(denominator, refused):
+    q = ReachQuery(evidence={0: 1}, hypothesis={1: 0})
+    calls = []
+
+    def mass(binding):
+        calls.append(dict(binding))
+        return denominator if binding == {0: 1} else denominator / 4
+
+    if refused:
+        with pytest.raises(IllConditionedQueryError):
+            conditional(mass, q)
+        assert calls == [{0: 1}]
+    else:
+        assert conditional(mass, q) == 0.25
+        assert calls == [{0: 1}, {0: 1, 1: 0}]
 
 
 def test_query_rejects_conflicting_bindings():
