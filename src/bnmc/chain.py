@@ -36,7 +36,9 @@ class MarkovChain:
         return sum(1 for d in self.states[state_index] if d is not None)
 
     def is_final(self, state_index: int) -> bool:
-        return all(d is not None for d in self.states[state_index])
+        # Bound slots form a prefix of the order, so the last slot decides.
+        state = self.states[state_index]
+        return not state or state[-1] is not None
 
     def final_indices(self) -> list[int]:
         return [i for i in range(len(self.states)) if self.is_final(i)]

@@ -220,19 +220,30 @@ class MtbddManager:
 
     def node_count(self, a: NodeRef) -> int:
         """Distinct reachable nodes, terminals included."""
-        self._entry(a)
-        seen = set()
-        stack = [a]
+        return len(self._reachable([a]))
+
+    def _reachable(self, roots: Iterable[NodeRef]) -> list[NodeRef]:
+        """Nodes reachable from `roots` in depth-first first-visit order.
+
+        Lo is visited before hi, as a recursive walk would.
+        """
+        stack = list(roots)
+        for r in stack:
+            self._entry(r)
+        stack.reverse()
+        order: list[NodeRef] = []
+        seen: set[NodeRef] = set()
         while stack:
             ref = stack.pop()
             if ref in seen:
                 continue
             seen.add(ref)
+            order.append(ref)
             entry = self._nodes[ref]
             if len(entry) == 3:
-                stack.append(entry[1])
                 stack.append(entry[2])
-        return len(seen)
+                stack.append(entry[1])
+        return order
 
     # -- maintenance ---------------------------------------------------------
 
@@ -248,19 +259,7 @@ class MtbddManager:
         default usage pattern is grow-only; collection is an explicit
         opt-in for long-lived managers.
         """
-        keep = set()
-        stack = [r for r in roots]
-        for r in stack:
-            self._entry(r)
-        while stack:
-            ref = stack.pop()
-            if ref in keep:
-                continue
-            keep.add(ref)
-            entry = self._nodes[ref]
-            if len(entry) == 3:
-                stack.append(entry[1])
-                stack.append(entry[2])
+        keep = set(self._reachable(roots))
         freed = 0
         for ref, entry in enumerate(self._nodes):
             if entry is None or ref in keep:
@@ -279,21 +278,7 @@ class MtbddManager:
 
     def to_dot(self, a: NodeRef, name: str = "mtbdd") -> str:
         """Graphviz rendering with deterministic first-visit node naming."""
-        self._entry(a)
-        order: list[NodeRef] = []
-        seen: set[NodeRef] = set()
-
-        def visit(ref: NodeRef) -> None:
-            if ref in seen:
-                return
-            seen.add(ref)
-            order.append(ref)
-            entry = self._nodes[ref]
-            if len(entry) == 3:
-                visit(entry[1])
-                visit(entry[2])
-
-        visit(a)
+        order = self._reachable([a])
         names = {ref: f"n{i}" for i, ref in enumerate(order)}
         lines = [f"digraph {name} {{"]
         for ref in order:

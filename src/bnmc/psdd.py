@@ -4,10 +4,11 @@ Only validation and evaluation of structures loaded from the repo's text
 formats are supported; compiling a network or formula into a PSDD is out of
 scope. See docs/formats.md for the file grammar.
 
-A diagram is immutable after parsing. Assignment probability follows the
-recursive decision semantics (the unique satisfied prime selects the
-element); term probability is one bottom-up pass with per-call memo tables,
-visiting each node at most once.
+A diagram is immutable after parsing. Every record is declared after the
+records it references, so both evaluations are one pass over the nodes in
+declaration order: assignment probability follows the decision semantics
+(the unique satisfied prime selects the element), and term probability sums
+over every element.
 """
 
 from __future__ import annotations
@@ -48,20 +49,23 @@ class Vtree:
     nodes: Mapping[int, VtreeNode]
     root: int
 
-    def variables_under(self, node_id: int) -> frozenset[str]:
-        node = self.nodes[node_id]
-        if node.is_leaf:
-            return frozenset((node.var,))
-        return self.variables_under(node.left) | self.variables_under(node.right)
+    def descendants(self, node_id: int) -> tuple[int, ...]:
+        """Ids of the subtree at `node_id` in pre-order: node, left, right."""
+        order = []
+        stack = [node_id]
+        while stack:
+            nid = stack.pop()
+            order.append(nid)
+            node = self.nodes[nid]
+            if not node.is_leaf:
+                stack.extend((node.right, node.left))
+        return tuple(order)
 
-    def descendants(self, node_id: int) -> frozenset[int]:
-        node = self.nodes[node_id]
-        if node.is_leaf:
-            return frozenset((node_id,))
-        return (
-            frozenset((node_id,))
-            | self.descendants(node.left)
-            | self.descendants(node.right)
+    def variables_under(self, node_id: int) -> frozenset[str]:
+        return frozenset(
+            self.nodes[nid].var
+            for nid in self.descendants(node_id)
+            if self.nodes[nid].is_leaf
         )
 
     @property
@@ -109,20 +113,11 @@ def parse_vtree(text: str) -> Vtree:
     root = roots.pop()
     # With unique references and a single root, reachable nodes form a tree;
     # anything unreachable is disconnected junk (possibly cyclic).
-    reachable: set[int] = set()
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        if nid in reachable:
-            continue
-        reachable.add(nid)
-        node = nodes[nid]
-        if not node.is_leaf:
-            stack.extend((node.left, node.right))
+    vtree = Vtree(nodes=nodes, root=root)
+    reachable = set(vtree.descendants(root))
     if reachable != set(nodes):
         stray = sorted(set(nodes) - reachable)
         raise PsddParseError(f"vtree nodes {stray} are not reachable from the root")
-    vtree = Vtree(nodes=nodes, root=root)
     labels = [n.var for n in nodes.values() if n.is_leaf]
     if len(set(labels)) != len(labels):
         raise PsddParseError("vtree leaf labels must be unique")
@@ -150,6 +145,12 @@ class PsddNode:
 
 @dataclass(frozen=True)
 class Psdd:
+    """A validated diagram; `nodes` lists every child before its parents.
+
+    `parse_psdd` refuses a reference to an id not yet declared, so the
+    insertion order of `nodes` is an evaluation order.
+    """
+
     vtree: Vtree
     nodes: Mapping[int, PsddNode]
     root: int
@@ -207,7 +208,14 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
     vtree = parse_vtree(vtree_text)
     nodes: dict[int, PsddNode] = {}
     last_id: int | None = None
-    referenced: set[int] = set()
+    # Vtree node x lies in the subtree at a exactly when its pre-order index
+    # falls in a's span first[a]..last[a].
+    order = vtree.descendants(vtree.root)
+    first = {nid: i for i, nid in enumerate(order)}
+    last: dict[int, int] = {}
+    for nid in reversed(order):
+        vnode = vtree.nodes[nid]
+        last[nid] = first[nid] if vnode.is_leaf else last[vnode.right]
 
     def check_vtree_id(lineno: int, vid: int) -> VtreeNode:
         if vid not in vtree.nodes:
@@ -266,26 +274,24 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
                         f"psdd line {lineno}: expected {3 * k} element fields"
                     )
                 elements = []
-                left_ids = vtree.descendants(inner.left)
-                right_ids = vtree.descendants(inner.right)
                 for j in range(k):
                     prime = int(parts[4 + 3 * j])
                     sub = int(parts[5 + 3 * j])
                     theta = float(parts[6 + 3 * j])
-                    for child, side, ids in (
-                        (prime, "prime", left_ids),
-                        (sub, "sub", right_ids),
+                    for child, side, under in (
+                        (prime, "prime", inner.left),
+                        (sub, "sub", inner.right),
                     ):
                         if child not in nodes:
                             raise PsddParseError(
                                 f"psdd line {lineno}: dangling id {child}"
                             )
-                        if nodes[child].vtree_id not in ids:
+                        at = first[nodes[child].vtree_id]
+                        if not first[under] <= at <= last[under]:
                             raise PsddParseError(
                                 f"psdd line {lineno}: {side} {child} does not respect "
                                 f"the {side} subtree of vtree node {vid}"
                             )
-                        referenced.add(child)
                     if not 0.0 <= theta <= 1.0:  # also rejects NaN
                         raise PsddParseError(
                             f"psdd line {lineno}: element parameter {theta!r} outside "
@@ -332,6 +338,9 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
 
 def _satisfies(p: Psdd, node_id: int, assignment: Mapping[str, int], memo: dict) -> bool:
     """Boolean abstraction of a node under a (sufficiently bound) assignment."""
+    # Recursion depth is bounded by the height of the vtree subtree under the
+    # node; the only caller, validate_partition, enumerates a subtree only
+    # after checking it holds at most PARTITION_ENUM_LIMIT variables.
     hit = memo.get(node_id)
     if hit is not None:
         return hit
@@ -358,93 +367,70 @@ def _check_bits(binding: Mapping[str, int]) -> None:
             raise MalformedQueryError(f"{name} must be bound to 0 or 1, got {value!r}")
 
 
+def _terminal_mass(node: PsddNode, binding: Mapping[str, int]) -> float:
+    """Mass of a terminal under a binding; an unbound variable sums out to 1."""
+    if node.kind == BOTTOM:
+        return 0.0
+    bound = binding.get(node.var)
+    if bound is None:
+        return 1.0
+    if node.kind == TOP:
+        return node.theta if bound else 1.0 - node.theta
+    return 1.0 if bound == (0 if node.negated else 1) else 0.0
+
+
 def prob_assignment(p: Psdd, full: Mapping[str, int]) -> float:
-    """Probability of one full assignment over the vtree variables."""
+    """Probability of one full assignment over the vtree variables.
+
+    Raises PsddError if the assignment satisfies no prime, or more than
+    one, of any decision node.
+    """
     missing = sorted(p.variables - set(full))
     if missing:
         raise MalformedQueryError(f"assignment must bind every variable; missing {missing}")
     _check_bits(full)
-    sat_memo: dict[int, bool] = {}
-    value_memo: dict[int, float] = {}
-
-    def value(node_id: int) -> float:
-        hit = value_memo.get(node_id)
-        if hit is not None:
-            return hit
-        node = p.nodes[node_id]
-        if node.kind == TOP:
-            result = node.theta if full[node.var] else 1.0 - node.theta
-        elif node.kind == BOTTOM:
-            result = 0.0
-        elif node.kind == LITERAL:
-            result = 1.0 if full[node.var] == (0 if node.negated else 1) else 0.0
-        else:
-            matches = [
-                (prime, sub, theta)
-                for prime, sub, theta in node.elements
-                if _satisfies(p, prime, full, sat_memo)
-            ]
-            if not matches:
-                raise PsddError(
-                    f"no prime of decision node {node_id} is satisfied; "
-                    "the primes do not form a partition"
-                )
-            if len(matches) > 1:
-                raise PsddError(
-                    f"multiple primes of decision node {node_id} are satisfied; "
-                    "the primes do not form a partition"
-                )
-            prime, sub, theta = matches[0]
-            result = theta * value(prime) * value(sub)
-        value_memo[node_id] = result
-        return result
-
-    return value(p.root)
+    value: dict[int, float] = {}
+    sat: dict[int, bool] = {}
+    for node_id, node in p.nodes.items():
+        if node.kind != DECISION:
+            value[node_id] = _terminal_mass(node, full)
+            # 0 < theta < 1, so a terminal has positive mass exactly when true.
+            sat[node_id] = value[node_id] > 0.0
+            continue
+        matches = [element for element in node.elements if sat[element[0]]]
+        if not matches:
+            raise PsddError(
+                f"no prime of decision node {node_id} is satisfied; "
+                "the primes do not form a partition"
+            )
+        if len(matches) > 1:
+            raise PsddError(
+                f"multiple primes of decision node {node_id} are satisfied; "
+                "the primes do not form a partition"
+            )
+        prime, sub, theta = matches[0]
+        value[node_id] = theta * value[prime] * value[sub]
+        sat[node_id] = sat[sub]
+    return value[p.root]
 
 
-@dataclass(frozen=True)
-class TermResult:
-    value: float
-    nodes_visited: int
-
-
-def prob_term_detailed(p: Psdd, partial: Mapping[str, int]) -> TermResult:
-    """Marginal probability of a conjunction, one bottom-up memoized pass."""
+def prob_term(p: Psdd, partial: Mapping[str, int]) -> float:
+    """Marginal probability of a conjunction of literals."""
     unknown = sorted(set(partial) - p.variables)
     if unknown:
         raise MalformedQueryError(f"unknown variables in term: {unknown}")
     _check_bits(partial)
-    memo: dict[int, float] = {}
-
-    def mass(node_id: int) -> float:
-        hit = memo.get(node_id)
-        if hit is not None:
-            return hit
-        node = p.nodes[node_id]
-        if node.kind == TOP:
-            bound = partial.get(node.var)
-            result = 1.0 if bound is None else (node.theta if bound else 1.0 - node.theta)
-        elif node.kind == BOTTOM:
-            result = 0.0
-        elif node.kind == LITERAL:
-            bound = partial.get(node.var)
-            wanted = 0 if node.negated else 1
-            result = 1.0 if bound is None or bound == wanted else 0.0
-        else:
-            result = sum(
-                theta * mass(prime) * mass(sub)
+    mass: dict[int, float] = {}
+    for node_id, node in p.nodes.items():
+        if node.kind == DECISION:
+            mass[node_id] = sum(
+                theta * mass[prime] * mass[sub]
                 for prime, sub, theta in node.elements
                 if theta != 0.0
             )
-        memo[node_id] = result
-        return result
-
-    value = mass(p.root)
-    return TermResult(value=value, nodes_visited=len(memo))
-
-
-def prob_term(p: Psdd, partial: Mapping[str, int]) -> float:
-    return prob_term_detailed(p, partial).value
+        else:
+            mass[node_id] = _terminal_mass(node, partial)
+    return mass[p.root]
 
 
 # -- validation ---------------------------------------------------------------------
@@ -472,8 +458,11 @@ class PartitionReport:
 
 
 def validate_partition(p: Psdd, limit: int = PARTITION_ENUM_LIMIT) -> PartitionReport:
-    """Check the partition property of every decision node by enumeration."""
-    verdicts = []
+    """Check the partition property of every decision node by enumeration.
+
+    Every decision node is checked against `limit` before any enumeration.
+    """
+    decisions = []
     for node_id in sorted(p.nodes):
         node = p.nodes[node_id]
         if node.kind != DECISION:
@@ -485,6 +474,9 @@ def validate_partition(p: Psdd, limit: int = PARTITION_ENUM_LIMIT) -> PartitionR
                 f"decision node {node_id} has {len(left_vars)} left variables, "
                 f"above the enumeration limit of {limit}"
             )
+        decisions.append((node_id, node, left_vars))
+    verdicts = []
+    for node_id, node, left_vars in decisions:
         seen_any = [False] * len(node.elements)
         exclusive = True
         exhaustive = True

@@ -8,6 +8,7 @@ from bnmc.chain import build_mc, final_states, path_probability, size_bound
 from bnmc.errors import MalformedQueryError, StateCapError
 from bnmc.gen import random_network
 from bnmc.network import Cpt, Variable, joint_probability, network_from_cpts
+from bnmc.reach import ReachQuery, conditional_query
 
 from conftest import single_var_bn
 
@@ -39,6 +40,13 @@ def test_single_variable_chain():
     assert mc.transitions[0] == ((0.7, 1), (0.3, 2))
     assert mc.transitions[1] == ((1.0, 1),)
     assert mc.transitions[2] == ((1.0, 2),)
+
+
+def test_empty_network_chain():
+    mc = build_mc(network_from_cpts("empty", [], []))
+    assert mc.states == ((),)
+    assert mc.is_final(0)
+    assert conditional_query(mc, ReachQuery(evidence={}, hypothesis={})) == 1.0
 
 
 def test_initial_state_all_dont_care(student_mood):

@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnmc.bif import write_bif
 from bnmc.cli import main
 from bnmc.fixtures import student_mood as load_student_mood
+from bnmc.fixtures import student_mood_texts
 from bnmc.gen import random_network
 from bnmc.network import Cpt, Variable, network_from_cpts
 
@@ -22,8 +28,6 @@ def bif_path(tmp_path):
 
 @pytest.fixture
 def psdd_paths(tmp_path):
-    from bnmc.fixtures import student_mood_texts
-
     vtree_text, psdd_text = student_mood_texts()
     vtree = tmp_path / "fixture.vtree"
     diagram = tmp_path / "fixture.psdd"
@@ -292,6 +296,46 @@ def test_psdd_eval_zero_probability_evidence(tmp_path, capsys):
     assert "ill-conditioned" in err
 
 
+def _write_pair(tmp_path, vtree_lines, psdd_lines):
+    vtree = tmp_path / "deep.vtree"
+    diagram = tmp_path / "deep.psdd"
+    vtree.write_text("\n".join(vtree_lines) + "\n", encoding="utf-8")
+    diagram.write_text("\n".join(psdd_lines) + "\n", encoding="utf-8")
+    return str(vtree), str(diagram)
+
+
+def test_psdd_eval_deep_right_linear_vtree(tmp_path, capsys):
+    n = 1500
+    vtree = [f"L {k} x{k}" for k in range(n)]
+    vtree += [f"I {n + k} {k} {n + k + 1 if k < n - 2 else n - 1}" for k in range(n - 1)]
+    psdd = [f"T 0 {n - 1} 0.3"]
+    for j, k in enumerate(range(n - 2, -1, -1)):
+        sub, pos = 3 * j, 3 * j + 1  # sub: the terminal, then the previous decision
+        psdd += [
+            f"L {pos} {k} x{k}",
+            f"L {pos + 1} {k} !x{k}",
+            f"D {pos + 2} {n + k} 2 {pos} {sub} 0.4 {pos + 1} {sub} 0.6",
+        ]
+    paths = _write_pair(tmp_path, vtree, psdd)
+    code, out, err = run(["psdd-eval", *paths, "--hyp", "x0=1", "--ev", "x1=0"], capsys)
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_psdd_eval_deep_left_linear_vtree_hits_enumeration_limit(tmp_path, capsys):
+    n = 1500
+    vtree = [f"L {k} x{k}" for k in range(n)]
+    vtree += [f"I {n + k} {n + k - 1 if k else 0} {k + 1}" for k in range(n - 1)]
+    psdd = ["T 0 0 0.3"]
+    for k in range(n - 1):
+        psdd += [f"T {2 * k + 1} {k + 1} 0.5", f"D {2 * k + 2} {n + k} 1 {2 * k} {2 * k + 1} 1.0"]
+    paths = _write_pair(tmp_path, vtree, psdd)
+    code, out, err = run(["psdd-eval", *paths, "--hyp", "x0=1"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "enumeration limit" in err
+
+
 def test_psdd_eval_validation_failure(tmp_path, capsys):
     vtree = tmp_path / "pair.vtree"
     vtree.write_text("L 0 x\nL 2 y\nI 1 0 2\n", encoding="utf-8")
@@ -300,3 +344,53 @@ def test_psdd_eval_validation_failure(tmp_path, capsys):
     code, _, err = run(["psdd-eval", str(vtree), str(bad)], capsys)
     assert code == 2
     assert "partition" in err
+
+
+FUZZ_TOKENS = (
+    "", " ", "\n", "0", "1", "-1", "2", "7", "99", "0.5", "1.5", "-0.0", "1e-320",
+    "nan", "inf", "1e309", "x", "!x", "Dif", "!Dif", "L", "I", "D", "T", "B", "c",
+    "variable", "probability", "table", "{", "}", "(", ")", ";", ",", "|", "[", "]",
+)
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` with up to four token edits: replace, delete, duplicate or swap."""
+    pieces = re.split(r"(\s+|[{}();,|\[\]])", text)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        kind = draw(st.sampled_from(("replace", "delete", "duplicate", "swap")))
+        if kind == "replace":
+            pieces[i] = draw(st.sampled_from(FUZZ_TOKENS))
+        elif kind == "delete":
+            pieces[i] = ""
+        elif kind == "duplicate":
+            pieces.insert(i, pieces[i])
+        else:
+            j = draw(st.integers(0, len(pieces) - 1))
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+    return "".join(pieces)
+
+
+BUNDLED_VTREE, BUNDLED_PSDD = student_mood_texts()
+BUNDLED_BIF = write_bif(load_student_mood())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    vtree_text=mutated(BUNDLED_VTREE),
+    psdd_text=mutated(BUNDLED_PSDD),
+    bif_text=mutated(BUNDLED_BIF),
+)
+def test_mutated_inputs_end_with_an_exit_code(vtree_text, psdd_text, bif_text):
+    query = ["--ev", "Prep=1", "--hyp", "Dif=0"]
+    with tempfile.TemporaryDirectory() as tmp:
+        vtree, diagram, network = (Path(tmp) / name for name in ("v", "p", "b"))
+        vtree.write_text(vtree_text, encoding="utf-8")
+        diagram.write_text(psdd_text, encoding="utf-8")
+        network.write_text(bif_text, encoding="utf-8")
+        for args in (
+            ["psdd-eval", str(vtree), str(diagram), *query],
+            ["infer", str(network), "--engine", "all", *query],
+        ):
+            assert main(args) in (0, 2, 3, 4)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -365,3 +367,39 @@ def test_to_dot_deterministic(student_mood_dpg):
     assert first == sym.manager.to_dot(sym.joint)
     assert first.startswith("digraph")
     assert "shape=box" in first
+
+
+def test_to_dot_text_pinned():
+    mgr = MtbddManager(["x", "y", "z"])
+    z = mgr.node("z", mgr.terminal(0.5), mgr.terminal(0.25))
+    y = mgr.node("y", z, mgr.terminal(1.0))
+    root = mgr.node("x", y, z)
+    assert mgr.to_dot(root, name="pin") == (
+        "digraph pin {\n"
+        '  n0 [shape=circle, label="x"];\n'
+        '  n1 [shape=circle, label="y"];\n'
+        '  n2 [shape=circle, label="z"];\n'
+        '  n3 [shape=box, label="0.5"];\n'
+        '  n4 [shape=box, label="0.25"];\n'
+        '  n5 [shape=box, label="1.0"];\n'
+        "  n0 -> n1 [style=dashed];\n"
+        "  n0 -> n2;\n"
+        "  n1 -> n2 [style=dashed];\n"
+        "  n1 -> n5;\n"
+        "  n2 -> n3 [style=dashed];\n"
+        "  n2 -> n4;\n"
+        "}\n"
+    )
+
+
+def test_manager_freed_after_to_dot_without_cycle_collector():
+    gc.disable()
+    try:
+        mgr = MtbddManager(VARS4)
+        root = from_table(mgr, VARS4, [0.1 * i for i in range(16)])
+        mgr.to_dot(root)
+        ref = weakref.ref(mgr)
+        del mgr
+        assert ref() is None
+    finally:
+        gc.enable()

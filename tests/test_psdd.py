@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -10,7 +12,6 @@ from bnmc.psdd import (
     parse_vtree,
     prob_assignment,
     prob_term,
-    prob_term_detailed,
     structure_flags,
     validate_partition,
 )
@@ -76,6 +77,28 @@ def test_parse_rejects_vtree_respect_violation():
     text = "T 0 2 0.5\nT 1 2 0.6\nD 2 1 1 0 1 1.0\n"
     with pytest.raises(PsddParseError, match="respect"):
         parse_psdd(PAIR_VTREE, text)
+
+
+DIF_LITERALS = "L 0 0 Dif\nL 1 0 !Dif\nT 2 6 0.5\nD 3 1 2 0 2 0.5 1 2 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # A sub may sit anywhere under the right subtree, not only at its root.
+        (DIF_LITERALS, None),
+        (DIF_LITERALS.replace("0 Dif", "2 Prep"), "prime 0 does not respect"),
+        # The decision's own vtree node is above its right subtree.
+        (DIF_LITERALS + "D 4 1 2 0 3 0.5 1 3 0.5\n", "sub 3 does not respect"),
+    ],
+)
+def test_parse_checks_respect_against_whole_subtrees(text, error):
+    vtree_text, _ = fixtures.student_mood_texts()
+    if error is None:
+        assert parse_psdd(vtree_text, text).root == 3
+    else:
+        with pytest.raises(PsddParseError, match=error):
+            parse_psdd(vtree_text, text)
 
 
 def test_parse_rejects_zero_theta_with_live_sub():
@@ -199,10 +222,24 @@ def test_prob_term_rejects_unknown_variable(student_mood_psdd):
         prob_term(student_mood_psdd, {"Weather": 1})
 
 
-def test_prob_term_visits_each_node_at_most_once(student_mood_psdd):
-    for term in ({}, {"Prep": 1}, {"Dif": 0, "Mood": 1}):
-        detail = prob_term_detailed(student_mood_psdd, term)
-        assert detail.nodes_visited <= student_mood_psdd.node_count()
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p: prob_term(p, {"Prep": 1}),
+        lambda p: prob_assignment(p, {"Dif": 0, "Prep": 1, "Grade": 0, "Mood": 1}),
+    ],
+    ids=["prob_term", "prob_assignment"],
+)
+def test_psdd_freed_after_evaluation_without_cycle_collector(evaluate):
+    gc.disable()
+    try:
+        diagram = fixtures.student_mood_psdd()
+        evaluate(diagram)
+        ref = weakref.ref(diagram)
+        del diagram
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_compare_with_bn_fixture(student_mood, student_mood_psdd):
