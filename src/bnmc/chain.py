@@ -9,6 +9,7 @@ evaluated already.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import StateCapError
@@ -40,8 +41,10 @@ class MarkovChain:
         state = self.states[state_index]
         return not state or state[-1] is not None
 
-    def final_indices(self) -> list[int]:
-        return [i for i in range(len(self.states)) if self.is_final(i)]
+    def final_indices(self) -> range:
+        # In the BFS layout the final states are the last layer, a suffix.
+        n = len(self.states)
+        return range(bisect_left(range(n), True, key=self.is_final), n)
 
     def assignment_of(self, state_index: int) -> dict[int, int]:
         """Bound variables of a state as an assignment keyed by variable id."""
@@ -129,13 +132,13 @@ def build_mc(
 def final_states(mc: MarkovChain, pred: Assignment) -> set[int]:
     """Indices of fully-evaluated states whose evaluation extends `pred`."""
     check_assignment(mc.network, pred)
-    wanted = {mc.position_of(v): d for v, d in pred.items()}
-    out = set()
-    for idx in mc.final_indices():
-        state = mc.states[idx]
-        if all(state[pos] == d for pos, d in wanted.items()):
-            out.add(idx)
-    return out
+    wanted = [(mc.position_of(v), d) for v, d in pred.items()]
+    states = mc.states
+    return {
+        idx
+        for idx in mc.final_indices()
+        if all(states[idx][pos] == d for pos, d in wanted)
+    }
 
 
 def path_probability(mc: MarkovChain, final_index: int) -> float:

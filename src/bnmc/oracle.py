@@ -1,8 +1,9 @@
 """Brute-force inference oracle by full-joint enumeration.
 
-Deliberately naive: sums CPT products over every full assignment in
-deterministic variable-index order, with compensated summation. Used as
-the independent reference for the optimized engines.
+Deliberately naive: sums CPT products over every full assignment that
+agrees with the binding, in deterministic variable-index order, with
+compensated summation. Used as the independent reference for the optimized
+engines.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ from .reach import ReachQuery, conditional
 DEFAULT_ENUM_CAP = 10_000_000
 
 
-def _consistent(values: tuple[int, ...], binding: Mapping[int, int]) -> bool:
-    return all(values[var_id] == v for var_id, v in binding.items())
-
-
 def _mass(bn: BayesianNetwork, binding: Mapping[int, int]) -> float:
-    sizes = [range(len(v.domain)) for v in bn.variables]
+    domains = [
+        (binding[v.id],) if v.id in binding else range(len(v.domain))
+        for v in bn.variables
+    ]
     cpts = bn.cpts
 
     def terms():
-        for values in product(*sizes):
-            if not _consistent(values, binding):
-                continue
+        for values in product(*domains):
             p = 1.0
             for cpt in cpts:
                 key = tuple(values[q] for q in cpt.parents)

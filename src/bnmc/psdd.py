@@ -14,6 +14,7 @@ over every element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping
 
@@ -68,7 +69,7 @@ class Vtree:
             if self.nodes[nid].is_leaf
         )
 
-    @property
+    @cached_property
     def variables(self) -> frozenset[str]:
         return self.variables_under(self.root)
 

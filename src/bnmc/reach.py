@@ -49,13 +49,12 @@ def reach_probability(mc: MarkovChain, goal: Iterable[int]) -> float:
         if not 0 <= idx < n_states:
             raise ValueError(f"goal state {idx} does not exist")
     values = [0.0] * n_states
-    # BFS layout guarantees the successors of a non-final state come later.
-    for idx in range(n_states - 1, -1, -1):
-        if idx in goal:
-            values[idx] = 1.0
-        elif mc.is_final(idx):
-            values[idx] = 0.0
-        else:
+    for idx in goal:
+        values[idx] = 1.0
+    # BFS layout guarantees the successors of a non-final state come later,
+    # and the final states form a suffix.
+    for idx in range(mc.final_indices().start - 1, -1, -1):
+        if idx not in goal:
             values[idx] = fsum(p * values[t] for p, t in mc.transitions[idx])
     return min(1.0, max(0.0, values[mc.initial]))
 

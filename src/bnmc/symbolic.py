@@ -1,11 +1,17 @@
-"""Joint-distribution compilation of a network into an MTBDD, and inference.
+"""Compilation of a network into one MTBDD per CPT, and inference by
+bucket elimination over those diagrams.
 
 Every network variable is encoded with ceil(log2 |D|) boolean bits, most
 significant first; bit patterns that decode to an index outside the domain
-get probability zero in every table diagram, so the compiled joint still
-sums to exactly one over all bit evaluations. The diagram's variable order
-follows the network's topological order with the bits of one variable kept
-adjacent.
+get probability zero in every table diagram, so summing a variable over all
+2^w patterns of its bits is exact. The diagram's variable order follows the
+network's topological order with the bits of one variable kept adjacent.
+
+The mass of a partial assignment never needs the full joint: each CPT
+diagram is restricted by the bound bits, and the free variables are summed
+out one at a time in reverse topological order, each over the product of
+only the factors that mention it (bucket elimination, Dechter 1996). The
+monolithic joint diagram is built only when `SymbolicBn.joint` is read.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 import csv
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -65,14 +72,32 @@ class BitEncoding:
 
 @dataclass(frozen=True)
 class SymbolicBn:
+    """A compiled network: one table diagram per CPT in one manager.
+
+    The masses answered so far and, once read, the joint are cached on the
+    instance; like the manager's own memo tables, they must be filled by
+    one thread at a time.
+    """
+
     network: BayesianNetwork
     order: tuple[int, ...]
     manager: MtbddManager
     encoding: BitEncoding
-    joint: NodeRef
     cpt_refs: Mapping[int, NodeRef]
+    # sorted binding items -> mass
+    masses: dict[tuple[tuple[int, int], ...], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     __hash__ = None
+
+    @cached_property
+    def joint(self) -> NodeRef:
+        """Product of every CPT diagram in topological order, built on first read."""
+        joint = self.manager.terminal(1.0)
+        for var_id in self.order:
+            joint = self.manager.apply("*", joint, self.cpt_refs[var_id])
+        return joint
 
 
 def _table_diagram(
@@ -118,7 +143,7 @@ def _table_diagram(
 
 
 def compile_network(bn: BayesianNetwork) -> SymbolicBn:
-    """Build one diagram per CPT, then their product in topological order.
+    """Build one diagram per CPT; no product of them is formed.
 
     The diagram order keeps each variable's bits adjacent, variables in
     topological order.
@@ -132,16 +157,8 @@ def compile_network(bn: BayesianNetwork) -> SymbolicBn:
         )
     mgr = MtbddManager(encoding.order)
     cpt_refs = {v: _table_diagram(mgr, encoding, bn, v) for v in order}
-    joint = mgr.terminal(1.0)
-    for var_id in order:
-        joint = mgr.apply("*", joint, cpt_refs[var_id])
     return SymbolicBn(
-        network=bn,
-        order=order,
-        manager=mgr,
-        encoding=encoding,
-        joint=joint,
-        cpt_refs=cpt_refs,
+        network=bn, order=order, manager=mgr, encoding=encoding, cpt_refs=cpt_refs
     )
 
 
@@ -156,18 +173,55 @@ def bits_of_assignment(sym: SymbolicBn, assignment: Mapping[int, int]) -> dict[s
 
 
 def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
+    """Probability of a partial assignment by bucket elimination.
+
+    Each factor (a restricted CPT diagram) waits in the bucket of its latest
+    free variable in topological order; a bucket's factors are multiplied,
+    that variable's bits summed out, and the result passed on. Factors with
+    no free variable left are terminals and are multiplied as floats.
+    """
+    key = tuple(sorted(binding.items()))
+    hit = sym.masses.get(key)
+    if hit is not None:
+        return hit
     mgr = sym.manager
-    node = sym.joint
+    bits = sym.encoding.bits
     bound = bits_of_assignment(sym, binding)
-    for label in sorted(bound, key=mgr.level):
-        node = mgr.restrict(node, label, bound[label])
-    remaining = [v for v in mgr.variables if v not in bound]
-    total = mgr.sum_abstract(node, remaining)
-    return mgr.terminal_value(total)
+    position = {v: i for i, v in enumerate(sym.order)}
+    # bucket position -> [(diagram, free variable positions)]
+    buckets: list[list[tuple[NodeRef, frozenset[int]]]] = [[] for _ in sym.order]
+    mass = 1.0
+
+    def place(node: NodeRef, free: frozenset[int]) -> None:
+        nonlocal mass
+        if free:
+            buckets[max(free)].append((node, free))
+        else:
+            mass *= mgr.terminal_value(node)
+
+    for var_id in sym.order:
+        node = sym.cpt_refs[var_id]
+        scope = (*sym.network.cpts[var_id].parents, var_id)
+        for w in scope:
+            if w in binding:
+                for label in bits[w]:
+                    node = mgr.restrict(node, label, bound[label])
+        place(node, frozenset(position[w] for w in scope if w not in binding))
+    for pos in range(len(sym.order) - 1, -1, -1):
+        if not buckets[pos]:
+            continue
+        (node, free), *rest = buckets[pos]
+        for other, other_free in rest:
+            node = mgr.apply("*", node, other)
+            free |= other_free
+        node = mgr.sum_abstract(node, bits[sym.order[pos]])
+        place(node, free - {pos})
+    sym.masses[key] = mass
+    return mass
 
 
 def infer(sym: SymbolicBn, q: ReachQuery) -> float:
-    """Conditional probability via restriction and sum-abstraction."""
+    """Conditional probability from two bucket-elimination masses."""
     check_assignment(sym.network, q.combined())
     return conditional(lambda b: _restricted_mass(sym, b), q)
 

@@ -45,6 +45,14 @@ def chain_bn(n: int, seed: int = 1, name: str = "chain") -> BayesianNetwork:
     return network_from_cpts(name, variables, cpts)
 
 
+def chain_forward(bn: BayesianNetwork, first: tuple[int, ...]) -> float:
+    """P(v0 in `first`, v{n-1} = 1) on a `chain_bn` by one forward pass."""
+    dist = [p if v in first else 0.0 for v, p in enumerate(bn.cpts[0].rows[()])]
+    for cpt in bn.cpts[1:]:
+        dist = [sum(dist[u] * cpt.rows[(u,)][v] for u in range(2)) for v in range(2)]
+    return dist[1]
+
+
 def _row(rng: random.Random) -> tuple[float, float]:
     p = rng.uniform(0.05, 0.95)
     return (1.0 - p, p)

@@ -147,6 +147,18 @@ def test_path_product_equals_joint(seed):
         assert path_probability(mc, idx) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("keep_zero_edges", [False, True])
+def test_final_indices_are_every_final_state(keep_zero_edges):
+    rng = random.Random(73)
+    chains = [build_mc(network_from_cpts("empty", [], []))]
+    for _ in range(20):
+        bn = random_network(rng, max_vars=5, max_domain=3, zero_entry_prob=0.3)
+        chains.append(build_mc(bn, keep_zero_edges=keep_zero_edges))
+    for mc in chains:
+        expected = [i for i in range(len(mc.states)) if mc.is_final(i)]
+        assert list(mc.final_indices()) == expected
+
+
 def test_children_bind_next_variable(student_mood):
     mc = build_mc(student_mood)
     for idx, row in enumerate(mc.transitions):

@@ -124,6 +124,23 @@ def test_infer_ill_conditioned_exit_code(tmp_path, capsys):
     assert "ill-conditioned" in err
 
 
+def test_infer_symbolic_engine_above_the_state_cap(tmp_path, capsys, monkeypatch):
+    from conftest import chain_bn, chain_forward
+
+    bn = chain_bn(40)
+    path = tmp_path / "chain40.bif"
+    path.write_text(write_bif(bn), encoding="utf-8")
+    monkeypatch.delenv("BNMC_STATE_CAP", raising=False)
+    query = [str(path), "--ev", "v39=1", "--hyp", "v0=0"]
+    code, out, _ = run(["infer", *query, "--engine", "symbolic"], capsys)
+    assert code == 0
+    expected = chain_forward(bn, (0,)) / chain_forward(bn, (0, 1))
+    assert abs(float(out) - expected) <= 1e-12
+    code, _, err = run(["infer", *query, "--engine", "explicit"], capsys)
+    assert code == 4
+    assert str(2**41 - 1) in err
+
+
 def test_translate_dot_reports_states(bif_path, tmp_path, capsys):
     out_path = tmp_path / "mc.dot"
     code, out, _ = run(

@@ -1,3 +1,7 @@
+import random
+from itertools import product
+from math import fsum
+
 import pytest
 
 from bnmc.errors import (
@@ -5,6 +9,7 @@ from bnmc.errors import (
     IllConditionedQueryError,
     MalformedQueryError,
 )
+from bnmc.gen import random_network, random_query
 from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.oracle import oracle_infer
 from bnmc.reach import ReachQuery
@@ -32,6 +37,25 @@ def test_oracle_matches_independent_enumeration(student_mood):
         student_mood, {2: 0}
     )
     assert oracle_infer(student_mood, q) == pytest.approx(expected, abs=1e-12)
+
+
+def test_oracle_bit_equal_to_filtered_full_enumeration():
+    rng = random.Random(79)
+    for _ in range(20):
+        bn = random_network(rng, max_vars=5, max_domain=3)
+        q = random_query(rng, bn)
+
+        def mass(binding):
+            terms = []
+            for values in product(*(range(len(v.domain)) for v in bn.variables)):
+                if all(values[i] == d for i, d in binding.items()):
+                    p = 1.0
+                    for cpt in bn.cpts:
+                        p *= cpt.rows[tuple(values[u] for u in cpt.parents)][values[cpt.owner]]
+                    terms.append(p)
+            return fsum(terms)
+
+        assert oracle_infer(bn, q) == mass(q.combined()) / mass(q.evidence)
 
 
 def test_oracle_ill_conditioned():

@@ -41,6 +41,10 @@ def test_parse_fixture_valid(student_mood_psdd):
     assert student_mood_psdd.node_count() == 15
 
 
+def test_vtree_variables_computed_once(student_mood_psdd):
+    assert student_mood_psdd.vtree.variables is student_mood_psdd.vtree.variables
+
+
 def test_parse_single_leaf():
     p = parse_psdd(SINGLE_VTREE, SINGLE_PSDD)
     assert p.variables == frozenset({"x"})

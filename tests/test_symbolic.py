@@ -117,6 +117,51 @@ def test_infer_matches_oracle_on_random_networks():
             assert infer(sym, q) == pytest.approx(expected, abs=1e-9)
 
 
+def test_elimination_matches_oracle_on_random_networks():
+    rng = random.Random(67)
+    sizes, ill = set(), 0
+    for _ in range(30):
+        bn = random_network(rng, max_vars=6, max_domain=5, zero_entry_prob=0.3)
+        sizes.update(len(v.domain) for v in bn.variables)
+        sym = compile_network(bn)
+        for _ in range(4):
+            q = random_query(rng, bn, max_evidence=3)
+            try:
+                expected = oracle_infer(bn, q)
+            except IllConditionedQueryError:
+                ill += 1
+                with pytest.raises(IllConditionedQueryError):
+                    infer(sym, q)
+                continue
+            assert abs(infer(sym, q) - expected) <= 1e-12
+    assert {3, 5} <= sizes and ill > 0
+
+
+def test_inference_never_builds_the_joint(student_mood):
+    sym = compile_network(student_mood)
+    infer(sym, ReachQuery(evidence={1: 1}, hypothesis={0: 0}))
+    assert "joint" not in vars(sym)
+    joint = sym.joint
+    assert vars(sym)["joint"] == joint
+
+
+def test_repeated_query_is_memoized(student_mood):
+    sym = compile_network(student_mood)
+    q = ReachQuery(evidence={1: 1}, hypothesis={0: 0, 2: 0})
+    first = infer(sym, q)
+    live, masses = sym.manager.live_nodes, dict(sym.masses)
+    assert infer(sym, q) == first
+    assert sym.manager.live_nodes == live and sym.masses == masses
+
+
+def test_long_chain_matches_forward_pass():
+    from conftest import chain_bn, chain_forward
+
+    bn = chain_bn(60)
+    got = infer(compile_network(bn), ReachQuery(evidence={59: 1}, hypothesis={0: 0}))
+    assert abs(got - chain_forward(bn, (0,)) / chain_forward(bn, (0, 1))) <= 1e-12
+
+
 def test_compile_enumerate_equivalence():
     rng = random.Random(41)
     for _ in range(10):
