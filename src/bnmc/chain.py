@@ -5,6 +5,11 @@ States are partial evaluations over the variables in topological order;
 positions of every reachable state form a prefix of the order, so each
 expansion step fixes exactly the next variable and its parents are always
 evaluated already.
+
+A state that disagrees with a binding reaches no final state extending it,
+so `descend` answers a binding by one forward pass down the layers along
+the agreeing edges; `final_states` and `path_probability` use it, and the
+backward sweep in `reach` serves only arbitrary goal sets.
 """
 
 from __future__ import annotations
@@ -90,37 +95,32 @@ def build_mc(
     n = len(order)
     position = {v: i for i, v in enumerate(order)}
 
-    states: list[McState] = [tuple([None] * n)]
+    states: list[McState] = [(None,) * n]
     transitions: list[tuple[tuple[float, int], ...]] = []
-    frontier = [0]
-    depth = 0
-    while frontier:
-        next_frontier: list[int] = []
-        if depth == n:
-            for idx in frontier:
-                transitions.append(((1.0, idx),))
-            # final states: self-loop only, no successors to enqueue
-            break
-        var_id = order[depth]
+    layer = [0]
+    for depth, var_id in enumerate(order):
         cpt = bn.cpts[var_id]
-        domain_size = len(bn.variables[var_id].domain)
-        for idx in frontier:
+        slots = [position[parent] for parent in cpt.parents]
+        pad = (None,) * (n - depth - 1)
+        domain = range(len(bn.variables[var_id].domain))
+        next_layer: list[int] = []
+        for idx in layer:
             state = states[idx]
-            key = tuple(state[position[p]] for p in cpt.parents)
-            row = cpt.rows[key]
+            row = cpt.rows[tuple(state[s] for s in slots)]
+            prefix = state[:depth]
             out = []
-            for value in range(domain_size):
+            for value in domain:
                 p = row[value]
                 if p == 0.0 and not keep_zero_edges:
                     continue
-                child = state[:depth] + (value,) + state[depth + 1 :]
                 child_idx = len(states)
-                states.append(child)
-                next_frontier.append(child_idx)
+                states.append(prefix + (value,) + pad)
+                next_layer.append(child_idx)
                 out.append((p, child_idx))
             transitions.append(tuple(out))
-        frontier = next_frontier
-        depth += 1
+        layer = next_layer
+    # Final states: a self-loop only.
+    transitions.extend(((1.0, idx),) for idx in layer)
     return MarkovChain(
         network=bn,
         order=order,
@@ -129,31 +129,37 @@ def build_mc(
     )
 
 
+def descend(mc: MarkovChain, binding: Assignment) -> list[tuple[int, float]]:
+    """(final index, path probability) of every final state extending `binding`.
+
+    One forward pass down the BFS layers from the initial state, along only
+    the edges whose child agrees with the binding at that depth: in the tree
+    a state that disagrees reaches no extending final state.
+    """
+    wanted: list[int | None] = [None] * len(mc.order)
+    for var_id, value in binding.items():
+        wanted[mc.position_of(var_id)] = value
+    states, transitions = mc.states, mc.transitions
+    layer = [(mc.initial, 1.0)]
+    for depth, value in enumerate(wanted):
+        layer = [
+            (t, m * p)
+            for idx, m in layer
+            for p, t in transitions[idx]
+            if value is None or states[t][depth] == value
+        ]
+    return layer
+
+
 def final_states(mc: MarkovChain, pred: Assignment) -> set[int]:
     """Indices of fully-evaluated states whose evaluation extends `pred`."""
     check_assignment(mc.network, pred)
-    wanted = [(mc.position_of(v), d) for v, d in pred.items()]
-    states = mc.states
-    return {
-        idx
-        for idx in mc.final_indices()
-        if all(states[idx][pos] == d for pos, d in wanted)
-    }
+    return {idx for idx, _ in descend(mc, pred)}
 
 
 def path_probability(mc: MarkovChain, final_index: int) -> float:
     """Product of edge probabilities on the unique root path to a final state."""
-    # Walk forward from the root following the state's own values.
-    state = mc.states[final_index]
-    idx = mc.initial
-    product = 1.0
-    for depth in range(len(mc.order)):
-        target_value = state[depth]
-        for p, t in mc.transitions[idx]:
-            if mc.states[t][depth] == target_value and mc.states[t][:depth] == mc.states[idx][:depth]:
-                product *= p
-                idx = t
-                break
-        else:
-            raise ValueError(f"state {final_index} is unreachable")
+    if not 0 <= final_index < len(mc.states) or not mc.is_final(final_index):
+        raise ValueError(f"state {final_index} is not a final state")
+    [(_, product)] = descend(mc, mc.assignment_of(final_index))
     return product

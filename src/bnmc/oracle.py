@@ -41,12 +41,15 @@ def oracle_infer(
     bn: BayesianNetwork, q: ReachQuery, *, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> float:
     """Conditional probability by summing the joint over all full assignments."""
+    # The evidence mass is the larger of the two passes: it fixes no more variables.
     total = 1
     for v in bn.variables:
-        total *= len(v.domain)
+        if v.id not in q.evidence:
+            total *= len(v.domain)
     if total > enum_cap:
         raise EnumerationCapError(
-            f"{total} full assignments exceed the enumeration cap of {enum_cap}"
+            f"{total} assignments consistent with the evidence exceed the "
+            f"enumeration cap of {enum_cap}"
         )
     check_assignment(bn, q.combined())
     return conditional(lambda b: _mass(bn, b), q)

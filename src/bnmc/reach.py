@@ -1,7 +1,9 @@
 """Reachability probabilities on the explicit chain and conditional queries.
 
 The chain is acyclic apart from final self-loops, so a single backward sweep
-in reverse insertion order is exact; no iterative solving is needed.
+in reverse insertion order is exact; no iterative solving is needed. The
+sweep serves only arbitrary goal sets (`check_prop2`): a conditional query
+sums the path probabilities that `chain.descend` finds in one forward pass.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from dataclasses import dataclass, field
 from math import fsum
 from typing import Callable, Iterable, Mapping
 
-from .chain import MarkovChain, final_states
+from . import chain
+from .chain import MarkovChain
+# benchmarks/tracing.py wraps reach.final_states and reach.reach_probability by name.
+from .chain import final_states  # noqa: F401
 from .errors import IllConditionedQueryError, MalformedQueryError, PathCapError
 from .network import check_assignment
 
@@ -78,10 +83,12 @@ def conditional_query(mc: MarkovChain, q: ReachQuery) -> float:
     """Conditional probability of the hypothesis given the evidence.
 
     Both eventualities collapse to one goal set of final states because
-    evaluations only grow along a path of the tree-shaped chain.
+    evaluations only grow along a path of the tree-shaped chain, so each mass
+    is the sum of the path probabilities of the final states that extend it.
     """
     check_assignment(mc.network, q.combined())
-    return conditional(lambda b: reach_probability(mc, final_states(mc, b)), q)
+    # Looked up on the module at call time, so a wrapper of chain.descend sees it.
+    return conditional(lambda b: fsum(p for _, p in chain.descend(mc, b)), q)
 
 
 def _satisfies(mc: MarkovChain, state_index: int, binding: Mapping[int, int]) -> bool:

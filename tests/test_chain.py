@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -170,3 +171,24 @@ def test_children_bind_next_variable(student_mood):
             assert child[depth] is not None
             assert child[: depth] == mc.states[idx][: depth]
             assert all(d is None for d in child[depth + 1 :])
+
+
+def test_build_mc_pinned_digest():
+    # States and transitions over seeded networks, pinned so that a rewrite
+    # of build_mc leaves the Jani and dot exports byte-identical.
+    rng = random.Random(101)
+    digest = hashlib.sha256()
+    for i in range(20):
+        bn = random_network(rng, max_vars=6, max_domain=3, zero_entry_prob=0.3)
+        mc = build_mc(bn, keep_zero_edges=bool(i % 2))
+        digest.update(repr((mc.states, mc.transitions)).encode())
+    assert digest.hexdigest() == (
+        "502d82e65bd993f8e601afe5f0dcd524582e7967f40fb8a75ff64e473b2a1783"
+    )
+
+
+def test_path_probability_refuses_other_states(student_mood_dpg):
+    mc = build_mc(student_mood_dpg)
+    for idx in (mc.initial, mc.final_indices().start - 1, len(mc.states), -1):
+        with pytest.raises(ValueError):
+            path_probability(mc, idx)

@@ -14,7 +14,7 @@ from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.oracle import oracle_infer
 from bnmc.reach import ReachQuery
 
-from conftest import enumerate_mass
+from conftest import chain_bn, enumerate_mass
 
 
 def test_oracle_quoted_value(student_mood):
@@ -70,3 +70,17 @@ def test_oracle_ill_conditioned():
 def test_oracle_size_cap(student_mood):
     with pytest.raises(EnumerationCapError):
         oracle_infer(student_mood, ReachQuery(), enum_cap=8)
+
+
+def test_oracle_cap_counts_assignments_consistent_with_evidence():
+    # 2^24 full assignments, but with v1..v23 bound only v0 is enumerated.
+    bn = chain_bn(24)
+    q = ReachQuery(evidence={i: i % 2 for i in range(1, 24)}, hypothesis={0: 0})
+    # v0 depends on the evidence only through v1: P(v0=0 | v1=1).
+    prior, child = bn.cpts[0].rows[()], bn.cpts[1].rows
+    joint = [prior[u] * child[(u,)][1] for u in range(2)]
+    expected = joint[0] / sum(joint)
+    assert oracle_infer(bn, q) == pytest.approx(expected, abs=1e-12)
+    assert oracle_infer(bn, q, enum_cap=2) == oracle_infer(bn, q)
+    with pytest.raises(EnumerationCapError):
+        oracle_infer(bn, q, enum_cap=1)

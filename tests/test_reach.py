@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnmc import reach
 from bnmc.chain import build_mc, final_states
 from bnmc.errors import IllConditionedQueryError, MalformedQueryError, PathCapError
 from bnmc.gen import random_network, random_query
@@ -17,6 +18,16 @@ from bnmc.reach import (
     conditional_query,
     reach_probability,
 )
+
+
+def scanned_goal(mc, binding):
+    """Final states of a chain whose slots extend `binding`, by a full scan."""
+    return {
+        idx
+        for idx, state in enumerate(mc.states)
+        if mc.is_final(idx)
+        and all(state[mc.position_of(v)] == d for v, d in binding.items())
+    }
 
 
 def test_reach_quoted_evidence_probability(student_mood):
@@ -166,3 +177,39 @@ def test_conditional_matches_oracle(seed):
                 conditional_query(mc, q)
             continue
         assert conditional_query(mc, q) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("keep_zero_edges", [False, True])
+def test_descent_matches_backward_sweep(keep_zero_edges):
+    rng = random.Random(83)
+    cases = [(network_from_cpts("empty", [], []), [ReachQuery()])]
+    for _ in range(30):
+        bn = random_network(rng, max_vars=5, max_domain=3, zero_entry_prob=0.3)
+        cases.append((bn, [random_query(rng, bn) for _ in range(5)]))
+    refused = 0
+    for bn, queries in cases:
+        mc = build_mc(bn, keep_zero_edges=keep_zero_edges)
+        for q in queries:
+            for binding in (q.evidence, q.combined()):
+                assert final_states(mc, binding) == scanned_goal(mc, binding)
+            try:
+                expected = conditional(
+                    lambda b: reach_probability(mc, scanned_goal(mc, b)), q
+                )
+            except IllConditionedQueryError:
+                refused += 1
+                with pytest.raises(IllConditionedQueryError):
+                    conditional_query(mc, q)
+                continue
+            assert abs(conditional_query(mc, q) - expected) <= 1e-15
+    assert refused > 0
+
+
+def test_conditional_query_needs_no_backward_sweep(student_mood, monkeypatch):
+    def refuse(mc, goal):
+        raise AssertionError("backward sweep called")
+
+    monkeypatch.setattr(reach, "reach_probability", refuse)
+    mc = build_mc(student_mood)
+    q = ReachQuery(evidence={1: 1}, hypothesis={0: 0, 2: 0, 3: 0})
+    assert conditional_query(mc, q) == pytest.approx(0.27, abs=1e-9)
