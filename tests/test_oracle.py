@@ -1,9 +1,14 @@
+import ast
 import random
+import sys
+import tracemalloc
 from itertools import product
 from math import fsum
+from pathlib import Path
 
 import pytest
 
+from bnmc import oracle
 from bnmc.errors import (
     EnumerationCapError,
     IllConditionedQueryError,
@@ -12,7 +17,7 @@ from bnmc.errors import (
 from bnmc.gen import random_network, random_query
 from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.oracle import oracle_infer
-from bnmc.reach import ReachQuery
+from bnmc.reach import ILL_CONDITIONED_EPS, ReachQuery
 
 from conftest import chain_bn, enumerate_mass
 
@@ -41,9 +46,29 @@ def test_oracle_matches_independent_enumeration(student_mood):
 
 def test_oracle_bit_equal_to_filtered_full_enumeration():
     rng = random.Random(79)
+    cases = []
     for _ in range(20):
         bn = random_network(rng, max_vars=5, max_domain=3)
-        q = random_query(rng, bn)
+        cases.append((bn, random_query(rng, bn)))
+    # Structural zeros and domains up to 4, each network also asked with the
+    # empty binding and with every variable bound.
+    for _ in range(20):
+        bn = random_network(
+            rng, max_vars=5, max_domain=4, edge_prob=0.6, zero_entry_prob=0.3
+        )
+        full = {v.id: rng.randrange(len(v.domain)) for v in bn.variables}
+        evidence = {i: d for i, d in full.items() if rng.random() < 0.5}
+        hypothesis = {i: d for i, d in full.items() if i not in evidence}
+        cases += [
+            (bn, random_query(rng, bn)),
+            (bn, ReachQuery()),
+            (bn, ReachQuery(evidence=evidence, hypothesis=hypothesis)),
+        ]
+    cases.append((network_from_cpts("empty", [], []), ReachQuery()))
+    # Parentless, one-parent and multi-parent CPTs all occur.
+    assert {min(len(c.parents), 2) for bn, _ in cases for c in bn.cpts} == {0, 1, 2}
+
+    for bn, q in cases:
 
         def mass(binding):
             terms = []
@@ -55,6 +80,10 @@ def test_oracle_bit_equal_to_filtered_full_enumeration():
                     terms.append(p)
             return fsum(terms)
 
+        if mass(q.evidence) < ILL_CONDITIONED_EPS:
+            with pytest.raises(IllConditionedQueryError):
+                oracle_infer(bn, q)
+            continue
         assert oracle_infer(bn, q) == mass(q.combined()) / mass(q.evidence)
 
 
@@ -84,3 +113,42 @@ def test_oracle_cap_counts_assignments_consistent_with_evidence():
     assert oracle_infer(bn, q, enum_cap=2) == oracle_infer(bn, q)
     with pytest.raises(EnumerationCapError):
         oracle_infer(bn, q, enum_cap=1)
+
+
+def test_oracle_refuses_malformed_query_before_counting():
+    # Both queries leave at least 2^29 assignments free, above the default cap.
+    bn = chain_bn(30)
+    for q in (ReachQuery(evidence={0: 5}), ReachQuery(evidence={99: 0})):
+        with pytest.raises(MalformedQueryError):
+            oracle_infer(bn, q)
+
+
+def test_oracle_streams_the_enumeration():
+    # 2^14 assignments: a list of them would take megabytes and a list of
+    # their terms over 400 KiB; the enumeration holds one assignment at a time.
+    bn = chain_bn(15)
+    q = ReachQuery(evidence={14: 1}, hypothesis={0: 0})
+    tracemalloc.start()
+    try:
+        oracle_infer(bn, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_oracle_imports_no_other_engine():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    allowed = {"errors", "network", "reach"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert node.level == 1 and node.module in allowed, ast.dump(node)
+                continue
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, name
