@@ -4,25 +4,26 @@ Supported subset: `network`, `variable` blocks with `type discrete`, and
 `probability` blocks given either as a single `table` row or as per-row
 `(parent values) p1, ..., pk;` entries. `property` strings are kept as
 opaque metadata on the surrounding block. Comments follow C conventions
-(`//` and `/* ... */`).
+(`//` and `/* ... */`) and start only at a token boundary.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
+from math import prod
 
 from .errors import BifParseError
 from .network import BayesianNetwork, Cpt, Variable, network_from_cpts, validate
 
-_PUNCT = set("{}()[]|,;")
-
-
-@dataclass
-class _Token:
-    text: str
-    line: int
-    col: int
+# One match per piece of text: whitespace and comments are matched without
+# the group, a token inside it. A `/*` with no closing `*/` becomes a token
+# that runs to the end of the text, so only the last token can start with
+# `/*`. A word runs to the next space or punctuation, so `a//b` is one label.
+_SCAN = re.compile(
+    r"\s+|//[^\n]*|/\*.*?\*/|(/\*.*|[{}()\[\]|,;]|[^\s{}()\[\]|,;]+)", re.S
+)
 
 
 @dataclass
@@ -51,72 +52,51 @@ class BifDocument:
     properties: tuple[str, ...] = ()
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-        elif ch.isspace():
-            i, col = i + 1, col + 1
-        elif text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise BifParseError("unterminated block comment", line, col)
-            skipped = text[i : end + 2]
-            line += skipped.count("\n")
-            col = len(skipped) - skipped.rfind("\n") if "\n" in skipped else col + len(skipped)
-            i = end + 2
-        elif ch in _PUNCT:
-            tokens.append(_Token(ch, line, col))
-            i, col = i + 1, col + 1
-        else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in _PUNCT:
-                i += 1
-            tokens.append(_Token(text[start:i], line, col))
-            col += i - start
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = list(filter(None, _SCAN.findall(text)))
         self.pos = 0
+        if self.tokens and self.tokens[-1].startswith("/*"):
+            raise self._error("unterminated block comment", len(self.tokens) - 1)
 
-    def _error(self, message: str) -> BifParseError:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return BifParseError(message, tok.line, tok.col)
-        return BifParseError(message + " (at end of input)")
+    def _error(self, message: str, index: int | None = None) -> BifParseError:
+        """An error located at token `index`, by default the one read last.
+
+        The text is scanned again up to that token to find its line and
+        column, so only errors pay for positions.
+        """
+        tokens = (m for m in _SCAN.finditer(self.text) if m.group(1))
+        start = next(islice(tokens, self.pos - 1 if index is None else index, None)).start()
+        line = self.text.count("\n", 0, start) + 1
+        return BifParseError(message, line, start - self.text.rfind("\n", 0, start))
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         if self.pos >= len(self.tokens):
             raise BifParseError("unexpected end of input")
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise BifParseError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
-        return tok
+        if tok != text:
+            raise self._error(f"expected {text!r}, got {tok!r}")
 
     def _number(self) -> float:
         tok = self.next()
         try:
-            return float(tok.text)
+            return float(tok)
         except ValueError:
-            raise BifParseError(f"expected a number, got {tok.text!r}", tok.line, tok.col)
+            raise self._error(f"expected a number, got {tok!r}")
+
+    def _count(self) -> int:
+        count = self._number()
+        if not count.is_integer():  # also refuses inf and nan
+            raise self._error(f"expected a whole number, got {self.tokens[self.pos - 1]!r}")
+        return int(count)
 
     def _number_list(self) -> tuple[float, ...]:
         out = [self._number()]
@@ -127,78 +107,69 @@ class _Parser:
         self.expect(";")
         return tuple(out)
 
+    def _until(self, closer: str) -> list[str]:
+        """The tokens before the next `closer`, which is consumed."""
+        try:
+            end = self.tokens.index(closer, self.pos)
+        except ValueError:
+            raise BifParseError("unexpected end of input") from None
+        tokens, self.pos = self.tokens[self.pos : end], end + 1
+        return tokens
+
+    def _labels(self, closer: str) -> tuple[str, ...]:
+        """Labels up to `closer`, which is consumed; commas are skipped."""
+        return tuple(tok for tok in self._until(closer) if tok != ",")
+
     def _property(self) -> str:
         # `property` already consumed; keep the raw remainder up to `;`.
-        parts = []
-        while self.peek() not in (";", None):
-            parts.append(self.next().text)
-        self.expect(";")
-        return " ".join(parts)
+        return " ".join(self._until(";"))
 
     def document(self) -> BifDocument:
         self.expect("network")
-        name_parts = []
-        while self.peek() != "{":
-            name_parts.append(self.next().text)
-        self.expect("{")
+        name = " ".join(self._until("{"))
         net_props = []
         while self.peek() != "}":
             tok = self.next()
-            if tok.text != "property":
-                raise BifParseError(
-                    f"unexpected {tok.text!r} in network block", tok.line, tok.col
-                )
+            if tok != "property":
+                raise self._error(f"unexpected {tok!r} in network block")
             net_props.append(self._property())
         self.expect("}")
-        doc = BifDocument(name=" ".join(name_parts) or "unnamed", properties=tuple(net_props))
+        doc = BifDocument(name=name or "unnamed", properties=tuple(net_props))
         while self.peek() is not None:
             tok = self.next()
-            if tok.text == "variable":
+            if tok == "variable":
                 doc.variables.append(self._variable_block())
-            elif tok.text == "probability":
+            elif tok == "probability":
                 doc.probabilities.append(self._probability_block())
             else:
-                raise BifParseError(
-                    f"expected 'variable' or 'probability', got {tok.text!r}",
-                    tok.line,
-                    tok.col,
-                )
+                raise self._error(f"expected 'variable' or 'probability', got {tok!r}")
         return doc
 
     def _variable_block(self) -> VariableBlock:
-        name = self.next().text
+        name = self.next()
         self.expect("{")
         values: tuple[str, ...] | None = None
         props = []
         while self.peek() != "}":
             tok = self.next()
-            if tok.text == "type":
+            if tok == "type":
+                type_at = self.pos - 1
                 self.expect("discrete")
                 self.expect("[")
-                count = int(self._number())
+                count = self._count()
                 self.expect("]")
                 self.expect("{")
-                labels = []
-                while self.peek() != "}":
-                    if self.peek() == ",":
-                        self.next()
-                        continue
-                    labels.append(self.next().text)
-                self.expect("}")
+                values = self._labels("}")
                 self.expect(";")
-                if len(labels) != count:
-                    raise BifParseError(
-                        f"variable {name}: declared {count} values, listed {len(labels)}",
-                        tok.line,
-                        tok.col,
+                if len(values) != count:
+                    raise self._error(
+                        f"variable {name}: declared {count} values, listed {len(values)}",
+                        type_at,
                     )
-                values = tuple(labels)
-            elif tok.text == "property":
+            elif tok == "property":
                 props.append(self._property())
             else:
-                raise BifParseError(
-                    f"variable {name}: unsupported item {tok.text!r}", tok.line, tok.col
-                )
+                raise self._error(f"variable {name}: unsupported item {tok!r}")
         self.expect("}")
         if values is None:
             raise BifParseError(f"variable {name}: missing 'type discrete' declaration")
@@ -206,49 +177,33 @@ class _Parser:
 
     def _probability_block(self) -> ProbabilityBlock:
         self.expect("(")
-        owner = self.next().text
-        parents: list[str] = []
+        owner = self.next()
+        parents: tuple[str, ...] = ()
         if self.peek() == "|":
             self.next()
-            while self.peek() != ")":
-                if self.peek() == ",":
-                    self.next()
-                    continue
-                parents.append(self.next().text)
-        self.expect(")")
+            parents = self._labels(")")
+        else:
+            self.expect(")")
         self.expect("{")
         table = None
         entries = []
         props = []
         while self.peek() != "}":
             tok = self.next()
-            if tok.text == "table":
+            if tok == "table":
                 if table is not None:
-                    raise BifParseError(
-                        f"probability block {owner}: duplicate table row", tok.line, tok.col
-                    )
+                    raise self._error(f"probability block {owner}: duplicate table row")
                 table = self._number_list()
-            elif tok.text == "(":
-                labels = []
-                while self.peek() != ")":
-                    if self.peek() == ",":
-                        self.next()
-                        continue
-                    labels.append(self.next().text)
-                self.expect(")")
-                entries.append((tuple(labels), self._number_list()))
-            elif tok.text == "property":
+            elif tok == "(":
+                entries.append((self._labels(")"), self._number_list()))
+            elif tok == "property":
                 props.append(self._property())
             else:
-                raise BifParseError(
-                    f"probability block {owner}: unsupported item {tok.text!r}",
-                    tok.line,
-                    tok.col,
-                )
+                raise self._error(f"probability block {owner}: unsupported item {tok!r}")
         self.expect("}")
         return ProbabilityBlock(
             owner=owner,
-            parents=tuple(parents),
+            parents=parents,
             table=table,
             entries=tuple(entries),
             properties=tuple(props),
@@ -313,23 +268,16 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
                 )
             if declared_parents:
                 # Table rows enumerate parent values in row-major declared order.
-                sizes = [len(p.domain) for p in declared_parents]
-                total = 1
-                for s in sizes:
-                    total *= s
-                if len(block.table) != total * len(owner.domain):
+                total = prod(len(p.domain) for p in declared_parents)
+                width = len(owner.domain)
+                if len(block.table) != total * width:
                     raise BifParseError(
                         f"probability block {block.owner}: table length "
-                        f"{len(block.table)} != {total * len(owner.domain)}"
+                        f"{len(block.table)} != {total * width}"
                     )
-                for flat in range(total):
-                    idx, rem = [], flat
-                    for s in reversed(sizes):
-                        idx.append(rem % s)
-                        rem //= s
-                    declared_key = tuple(reversed(idx))
-                    start = flat * len(owner.domain)
-                    add_row(declared_key, tuple(block.table[start : start + len(owner.domain)]))
+                keys = product(*(range(len(p.domain)) for p in declared_parents))
+                for flat, declared_key in enumerate(keys):
+                    add_row(declared_key, block.table[flat * width : (flat + 1) * width])
             else:
                 add_row((), block.table)
         else:

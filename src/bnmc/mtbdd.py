@@ -29,7 +29,6 @@ _OPS: dict[str, Callable[[float, float], float]] = {
     "min": min,
     "max": max,
 }
-_OP_ALIASES = {"×": "*", "x": "*"}
 
 
 class MtbddManager:
@@ -139,7 +138,6 @@ class MtbddManager:
     # -- operations ----------------------------------------------------------
 
     def apply(self, op: str, a: NodeRef, b: NodeRef) -> NodeRef:
-        op = _OP_ALIASES.get(op, op)
         fn = _OPS.get(op)
         if fn is None:
             raise ValueError(f"unsupported operator {op!r}; use one of {sorted(_OPS)}")

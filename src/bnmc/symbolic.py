@@ -40,7 +40,6 @@ def _width(domain_size: int) -> int:
 class BitEncoding:
     order: tuple[str, ...]  # all bit labels, manager order
     bits: Mapping[int, tuple[str, ...]]  # variable id -> labels, msb first
-    sizes: Mapping[int, int]  # variable id -> domain size
 
     @classmethod
     def from_network(
@@ -48,26 +47,17 @@ class BitEncoding:
     ) -> "BitEncoding":
         labels: list[str] = []
         bits: dict[int, tuple[str, ...]] = {}
-        sizes: dict[int, int] = {}
         for var_id in order:
             v = bn.variables[var_id]
             own = tuple(f"{v.name}[{k}]" for k in range(_width(len(v.domain))))
             bits[var_id] = own
-            sizes[var_id] = len(v.domain)
             labels.extend(own)
-        return cls(order=tuple(labels), bits=bits, sizes=sizes)
+        return cls(order=tuple(labels), bits=bits)
 
     def pattern(self, var_id: int, value: int) -> tuple[int, ...]:
         """Bit pattern of a domain value index, msb first."""
         width = len(self.bits[var_id])
         return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
-
-    def decode(self, var_id: int, pattern: Sequence[int]) -> int | None:
-        """Value index of a bit pattern, or None when out of the domain."""
-        value = 0
-        for bit in pattern:
-            value = (value << 1) | bit
-        return value if value < self.sizes[var_id] else None
 
 
 @dataclass(frozen=True)
@@ -105,38 +95,30 @@ def _table_diagram(
     encoding: BitEncoding,
     bn: BayesianNetwork,
     var_id: int,
+    position: Mapping[int, int],
 ) -> NodeRef:
     """Diagram over the owner's and parents' bits yielding the row probability."""
     cpt = bn.cpts[var_id]
-    involved = list(cpt.parents) + [var_id]
-    levels = sorted(
-        (mgr.level(label), w, k)
-        for w in involved
-        for k, label in enumerate(encoding.bits[w])
-    )
-
-    def probability(bits: dict[tuple[int, int], int]) -> float:
-        values = {}
-        for w in involved:
-            pattern = [bits[(w, k)] for k in range(len(encoding.bits[w]))]
-            idx = encoding.decode(w, pattern)
-            if idx is None:
-                return 0.0
-            values[w] = idx
-        key = tuple(values[p] for p in cpt.parents)
-        return cpt.rows[key][values[var_id]]
-
-    # Leaves in lexicographic bit order, then one level merged per pass from
-    # the bottom: siblings differ only in the last remaining level's bit. An
-    # iterative build leaves no self-referencing closure to keep `mgr` alive.
+    scope = sorted((*cpt.parents, var_id), key=position.__getitem__)
+    sizes = [len(bn.variables[w].domain) for w in scope]
+    parents = [scope.index(p) for p in cpt.parents]
+    owner = scope.index(var_id)
+    # Counting each scope variable over its 2^width patterns, in diagram
+    # order, lists the leaves in lexicographic bit order; values past the
+    # domain get 0. Then one level is merged per pass from the bottom:
+    # siblings differ only in the last remaining level's bit. An iterative
+    # build leaves no self-referencing closure to keep `mgr` alive.
     nodes = [
-        mgr.terminal(probability({(w, k): b for (_, w, k), b in zip(levels, bits)}))
-        for bits in product((0, 1), repeat=len(levels))
+        mgr.terminal(
+            0.0
+            if any(v >= size for v, size in zip(values, sizes))
+            else cpt.rows[tuple(values[i] for i in parents)][values[owner]]
+        )
+        for values in product(*(range(1 << len(encoding.bits[w])) for w in scope))
     ]
-    for level, _, _ in reversed(levels):
-        var = mgr.variables[level]
+    for label in reversed([label for w in scope for label in encoding.bits[w]]):
         nodes = [
-            lo if lo == hi else mgr.node(var, lo, hi)
+            lo if lo == hi else mgr.node(label, lo, hi)
             for lo, hi in zip(nodes[0::2], nodes[1::2])
         ]
     return nodes[0]
@@ -156,7 +138,8 @@ def compile_network(bn: BayesianNetwork) -> SymbolicBn:
             f"{MAX_TOTAL_BITS}"
         )
     mgr = MtbddManager(encoding.order)
-    cpt_refs = {v: _table_diagram(mgr, encoding, bn, v) for v in order}
+    position = {v: i for i, v in enumerate(order)}
+    cpt_refs = {v: _table_diagram(mgr, encoding, bn, v, position) for v in order}
     return SymbolicBn(
         network=bn, order=order, manager=mgr, encoding=encoding, cpt_refs=cpt_refs
     )

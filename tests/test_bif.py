@@ -178,3 +178,66 @@ def test_roundtrip_minimal():
 def test_roundtrip_random_networks(seed):
     bn = random_network(random.Random(seed), max_vars=6, max_domain=4)
     assert parse_bif(write_bif(bn)) == bn
+
+
+def _with_count(count: str) -> str:
+    return (
+        "network t { }\n"
+        f"variable x {{ type discrete [ {count} ] {{ a, b }}; }}\n"
+        "probability ( x ) { table 0.5, 0.5; }\n"
+    )
+
+
+@pytest.mark.parametrize("count", ["inf", "1e400", "nan", "2.5"])
+def test_domain_count_must_be_a_whole_number(count):
+    with pytest.raises(BifParseError) as info:
+        parse_bif(_with_count(count))
+    assert str(info.value) == f"line 2, col 30: expected a whole number, got {count!r}"
+
+
+@pytest.mark.parametrize("count", ["2", "2.0"])
+def test_whole_domain_count_accepted(count):
+    assert parse_bif(_with_count(count)).variables[0].domain == ("a", "b")
+
+
+_VAR = "variable x { type discrete [ 2 ] { no, yes }; }\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (  # error on the line that closes a multi-line block comment
+            "network t { }\n/* a comment\n   over two lines */ variable x "
+            "{ type discrete [ 2 ] { no, yes } }\n",
+            "line 3, col 67: expected ';', got '}'",
+        ),
+        (  # a block comment earlier on the same line
+            "network t { }\nvariable x { /* c */ kind discrete [ 2 ] { no, yes }; }\n",
+            "line 2, col 22: variable x: unsupported item 'kind'",
+        ),
+        (  # first token of the line after a `//` comment that holds punctuation
+            "network t { } // note { ;\nvaraible x { }\n",
+            "line 2, col 1: expected 'variable' or 'probability', got 'varaible'",
+        ),
+        (  # first token of an indented line
+            "network t { }\n" + _VAR + "\tprobablity ( x ) { table 0.5, 0.5; }\n",
+            "line 3, col 2: expected 'variable' or 'probability', got 'probablity'",
+        ),
+        (  # `//` inside a label does not start a comment: one label, not two
+            "network t { }\nvariable x { type discrete [ 2 ] { no//yes }; }\n",
+            "line 2, col 14: variable x: declared 2 values, listed 1",
+        ),
+        (
+            "network t { }\n" + _VAR + "  /* never closed\nprobability ( x ) { }\n",
+            "line 3, col 3: unterminated block comment",
+        ),
+        (
+            "network t { }\n" + _VAR + "probability ( x ) { table 0.5, 0.5;",
+            "unexpected end of input",
+        ),
+    ],
+)
+def test_error_positions_pinned(text, message):
+    with pytest.raises(BifParseError) as info:
+        parse_bif(text)
+    assert str(info.value) == message

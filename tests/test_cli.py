@@ -106,6 +106,19 @@ def test_infer_unknown_variable(bif_path, capsys):
     assert "unknown" in err
 
 
+def test_infer_refuses_infinite_domain_count(tmp_path, capsys):
+    path = tmp_path / "inf.bif"
+    path.write_text(
+        "network t { }\n"
+        "variable x { type discrete [ inf ] { a, b }; }\n"
+        "probability ( x ) { table 0.5, 0.5; }\n",
+        encoding="utf-8",
+    )
+    code, _, err = run(["infer", str(path), "--engine", "all"], capsys)
+    assert code == 2
+    assert "line 2, col 30: expected a whole number, got 'inf'" in err
+
+
 def test_infer_ill_conditioned_exit_code(tmp_path, capsys):
     a = Variable(id=0, name="a", domain=("0", "1"))
     b = Variable(id=1, name="b", domain=("0", "1"))

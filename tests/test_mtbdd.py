@@ -113,7 +113,6 @@ def test_apply_identities():
     f = from_table(mgr, VARS4, random_table(rng, 16))
     assert mgr.apply("*", f, mgr.terminal(1.0)) == f
     assert mgr.apply("+", f, mgr.terminal(0.0)) == f
-    assert mgr.apply("×", f, mgr.terminal(1.0)) == f  # alias
 
 
 def test_apply_unknown_operator():

@@ -1,10 +1,12 @@
 import gc
+import hashlib
 import random
 import weakref
 from itertools import product
 
 import pytest
 
+from bnmc.bif import document_to_network, parse_bif_document, write_bif
 from bnmc.errors import BitWidthError, IllConditionedQueryError
 from bnmc.gen import random_network, random_query
 from bnmc.network import (
@@ -37,8 +39,6 @@ def test_encoding_widths():
     enc = BitEncoding.from_network(bn, (0,))
     assert enc.bits[0] == ("w[0]", "w[1]")
     assert enc.pattern(0, 2) == (1, 0)
-    assert enc.decode(0, (1, 0)) == 2
-    assert enc.decode(0, (1, 1)) is None
 
 
 def test_compile_joint_quoted_path_value(student_mood_dpg):
@@ -208,6 +208,34 @@ def test_compile_respects_topological_bit_order(student_mood):
     order = topological_order(student_mood)
     expected = [f"{student_mood.variables[i].name}[0]" for i in order]
     assert list(sym.manager.variables) == expected
+
+
+def test_table_diagrams_pinned_digest():
+    """Every CPT diagram of seeded networks, byte for byte.
+
+    The networks have domains of 1 to 5 values. Each is compiled twice: as
+    generated (ids already topological) and with its variables declared in
+    reverse, so that ids, CPT parent order and topological order disagree.
+    The digest was taken from an earlier implementation that decoded every
+    leaf's bits one by one.
+    """
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    sizes, reordered = set(), 0
+    for _ in range(60):
+        bn = random_network(rng, max_vars=6, min_domain=1, max_domain=5, edge_prob=0.5)
+        doc = parse_bif_document(write_bif(bn))
+        doc.variables.reverse()
+        for net in (bn, document_to_network(doc)):
+            sizes.update(len(v.domain) for v in net.variables)
+            sym = compile_network(net)
+            reordered += list(sym.order) != sorted(sym.order)
+            for var_id in sym.order:
+                digest.update(sym.manager.to_dot(sym.cpt_refs[var_id]).encode())
+    assert {1, 2, 3, 4, 5} <= sizes and reordered > 30
+    assert digest.hexdigest() == (
+        "6e051d2c5c2da94414314d4b6fb8411d2052eb971b684784b7edffe1dd315ea5"
+    )
 
 
 def test_manager_freed_without_cycle_collector(student_mood):
