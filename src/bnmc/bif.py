@@ -219,12 +219,18 @@ def parse_bif_document(text: str | bytes) -> BifDocument:
 def document_to_network(doc: BifDocument) -> BayesianNetwork:
     by_name: dict[str, Variable] = {}
     variables = []
+    # Per variable id, label -> value index. A repeated label keeps its first
+    # index: validate refuses such a domain, but a row error may come first.
+    label_index: list[dict[str, int]] = []
     for i, block in enumerate(doc.variables):
         if block.name in by_name:
             raise BifParseError(f"variable {block.name} declared twice")
         var = Variable(id=i, name=block.name, domain=block.values)
         by_name[block.name] = var
         variables.append(var)
+        label_index.append({})
+        for k, label in enumerate(block.values):
+            label_index[i].setdefault(label, k)
 
     cpts: dict[int, Cpt] = {}
     for block in doc.probabilities:
@@ -248,7 +254,7 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
         rows: dict[tuple[int, ...], tuple[float, ...]] = {}
 
         def add_row(declared_key: tuple[int, ...], probs: tuple[float, ...]) -> None:
-            key = tuple(declared_key[i] for i in reorder)
+            key = tuple([declared_key[i] for i in reorder])
             if key in rows:
                 raise BifParseError(
                     f"probability block {block.owner}: duplicate row for parents "
@@ -285,21 +291,26 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
                 raise BifParseError(f"probability block {block.owner}: no rows")
             if not declared_parents and not block.entries:
                 raise BifParseError(f"probability block {block.owner}: no table row")
+            indexes = [label_index[p.id] for p in declared_parents]
             for labels, probs in block.entries:
                 if len(labels) != len(declared_parents):
                     raise BifParseError(
                         f"probability block {block.owner}: row names {len(labels)} "
                         f"parent values, expected {len(declared_parents)}"
                     )
-                declared_key = []
-                for label, parent in zip(labels, declared_parents):
-                    if label not in parent.domain:
-                        raise BifParseError(
-                            f"probability block {block.owner}: value {label!r} not in "
-                            f"domain of parent {parent.name}"
-                        )
-                    declared_key.append(parent.domain.index(label))
-                add_row(tuple(declared_key), probs)
+                try:
+                    declared_key = tuple([ix[label] for ix, label in zip(indexes, labels)])
+                except KeyError:
+                    label, parent = next(
+                        (label, parent)
+                        for label, parent, ix in zip(labels, declared_parents, indexes)
+                        if label not in ix
+                    )
+                    raise BifParseError(
+                        f"probability block {block.owner}: value {label!r} not in "
+                        f"domain of parent {parent.name}"
+                    ) from None
+                add_row(declared_key, probs)
 
         expected = set(product(*(range(len(v.domain)) for v in canonical)))
         missing = expected - set(rows)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import StateCapError
 from .network import Assignment, BayesianNetwork, check_assignment, topological_order
@@ -97,28 +98,34 @@ def build_mc(
 
     states: list[McState] = [(None,) * n]
     transitions: list[tuple[tuple[float, int], ...]] = []
-    layer = [0]
+    layer = range(1)
     for depth, var_id in enumerate(order):
         cpt = bn.cpts[var_id]
-        slots = [position[parent] for parent in cpt.parents]
         pad = (None,) * (n - depth - 1)
-        domain = range(len(bn.variables[var_id].domain))
-        next_layer: list[int] = []
-        for idx in layer:
-            state = states[idx]
-            row = cpt.rows[tuple(state[s] for s in slots)]
+        # Per CPT row, the kept edges as (probability, child tail): the
+        # child is the parent state's bound prefix, then the tail.
+        edges = {
+            key: [(p, (value,) + pad) for value, p in enumerate(row)
+                  if p != 0.0 or keep_zero_edges]
+            for key, row in cpt.rows.items()
+        }
+        slots = [position[parent] for parent in cpt.parents]
+        if len(slots) > 1:
+            row_key = itemgetter(*slots)
+        elif slots:
+            edges = {key[0]: e for key, e in edges.items()}
+            row_key = itemgetter(slots[0])
+        else:
+            row_key = lambda state: ()  # noqa: E731
+        # The children of one layer, appended in order, are the next layer.
+        for state in states[layer.start:]:
             prefix = state[:depth]
             out = []
-            for value in domain:
-                p = row[value]
-                if p == 0.0 and not keep_zero_edges:
-                    continue
-                child_idx = len(states)
-                states.append(prefix + (value,) + pad)
-                next_layer.append(child_idx)
-                out.append((p, child_idx))
+            for p, tail in edges[row_key(state)]:
+                out.append((p, len(states)))
+                states.append(prefix + tail)
             transitions.append(tuple(out))
-        layer = next_layer
+        layer = range(layer.stop, len(states))
     # Final states: a self-loop only.
     transitions.extend(((1.0, idx),) for idx in layer)
     return MarkovChain(

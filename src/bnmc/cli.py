@@ -137,7 +137,8 @@ def cmd_infer(args) -> int:
             )
         return v.id, v.domain.index(label)
 
-    query = _query_from_args(args, domain_label)
+    # Every engine and cap sees only the ancestors of the bound variables.
+    bn, query = reach.ancestral_query(bn, _query_from_args(args, domain_label))
     engines = (
         ("explicit", "symbolic", "oracle") if args.engine == "all" else (args.engine,)
     )

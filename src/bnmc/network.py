@@ -247,11 +247,12 @@ def stats(bn: BayesianNetwork) -> NetworkStats:
 
 def subnetwork(bn: BayesianNetwork, keep: Iterable[int]) -> BayesianNetwork:
     """Restrict to a parent-closed subset of variables, reindexing ids densely."""
-    keep_ids = sorted(set(keep))
+    kept = set(keep)
+    keep_ids = sorted(kept)
     for i in keep_ids:
         bn.variable(i)
         for p in bn.parents(i):
-            if p not in keep_ids:
+            if p not in kept:
                 raise ValueError(
                     f"subset not closed under parents: {bn.variables[i].name} "
                     f"needs {bn.variables[p].name}"

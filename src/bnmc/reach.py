@@ -17,7 +17,7 @@ from .chain import MarkovChain
 # benchmarks/tracing.py wraps reach.final_states and reach.reach_probability by name.
 from .chain import final_states  # noqa: F401
 from .errors import IllConditionedQueryError, MalformedQueryError, PathCapError
-from .network import check_assignment
+from .network import BayesianNetwork, check_assignment, subnetwork
 
 # Denominators below this are treated as zero to avoid division blow-up.
 ILL_CONDITIONED_EPS = 1e-300
@@ -44,6 +44,34 @@ class ReachQuery:
         merged = dict(self.evidence)
         merged.update(self.hypothesis)
         return merged
+
+
+def ancestral_query(
+    bn: BayesianNetwork, q: ReachQuery
+) -> tuple[BayesianNetwork, ReachQuery]:
+    """The subnetwork of the ancestors of the query's variables, and the query
+    with its variable ids remapped to that subnetwork.
+
+    A variable outside that set is barren: it sums out to 1 in both masses,
+    so the answer is the same on both networks (Shachter 1986; Baker and
+    Boult 1990). When every variable is an ancestor, `bn` and `q` themselves
+    are returned.
+    """
+    keep: set[int] = set()
+    stack = list(q.combined())
+    while stack:
+        var_id = stack.pop()
+        if var_id not in keep:
+            keep.add(var_id)
+            stack.extend(bn.parents(var_id))
+    if len(keep) == len(bn.variables):
+        return bn, q
+    # subnetwork numbers the kept variables densely in ascending id order.
+    remap = {old: new for new, old in enumerate(sorted(keep))}
+    return subnetwork(bn, keep), ReachQuery(
+        evidence={remap[v]: d for v, d in q.evidence.items()},
+        hypothesis={remap[v]: d for v, d in q.hypothesis.items()},
+    )
 
 
 def reach_probability(mc: MarkovChain, goal: Iterable[int]) -> float:

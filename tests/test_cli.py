@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from bnmc.bif import write_bif
 from bnmc.cli import main
+from bnmc.errors import IllConditionedQueryError
 from bnmc.fixtures import student_mood as load_student_mood
 from bnmc.fixtures import student_mood_texts
-from bnmc.gen import random_network
+from bnmc.gen import random_network, random_query
 from bnmc.network import Cpt, Variable, network_from_cpts
+from bnmc.oracle import oracle_infer
+from bnmc.reach import ancestral_query
 
 import random
 
@@ -154,6 +157,53 @@ def test_infer_symbolic_engine_above_the_state_cap(tmp_path, capsys, monkeypatch
     assert str(2**41 - 1) in err
 
 
+def test_infer_pruned_answers_match_the_unpruned_oracle(tmp_path, capsys):
+    rng = random.Random(2024)
+    pruned = refused = 0
+    for i in range(40):
+        bn = random_network(rng, max_vars=7, max_domain=3, zero_entry_prob=0.3)
+        path = tmp_path / f"net{i}.bif"
+        path.write_text(write_bif(bn), encoding="utf-8")
+        for _ in range(3):
+            q = random_query(rng, bn)
+            pruned += len(ancestral_query(bn, q)[0].variables) < len(bn.variables)
+            args = ["infer", str(path), "--engine", "all"]
+            for flag, binding in (("--ev", q.evidence), ("--hyp", q.hypothesis)):
+                for var_id, value in binding.items():
+                    v = bn.variables[var_id]
+                    args += [flag, f"{v.name}={v.domain[value]}"]
+            code, out, _ = run(args, capsys)
+            try:
+                expected = oracle_infer(bn, q)
+            except IllConditionedQueryError:
+                refused += 1
+                assert code == 3
+                continue
+            assert code == 0
+            printed = dict(line.split(": ") for line in out.splitlines())
+            for engine in ("explicit", "symbolic", "oracle"):
+                assert abs(float(printed[engine]) - expected) <= 1e-12
+    assert pruned > 0 and refused > 0
+
+
+@pytest.mark.parametrize("n, engine", [(40, "explicit"), (70, "symbolic"), (70, "oracle")])
+def test_infer_on_a_long_chain_head_ignores_the_tail(tmp_path, capsys, monkeypatch, n, engine):
+    # Unpruned, chain_bn(40) exceeds the default state cap and chain_bn(70)
+    # the symbolic bit limit and the enumeration cap; v0..v3 fit all three.
+    from conftest import chain_bn, chain_forward
+
+    path = tmp_path / "chain.bif"
+    path.write_text(write_bif(chain_bn(n)), encoding="utf-8")
+    monkeypatch.delenv("BNMC_STATE_CAP", raising=False)
+    code, out, err = run(
+        ["infer", str(path), "--ev", "v3=1", "--hyp", "v0=0", "--engine", engine], capsys
+    )
+    assert code == 0, err
+    head = chain_bn(4)  # the same seeded CPTs as the first four variables
+    expected = chain_forward(head, (0,)) / chain_forward(head, (0, 1))
+    assert abs(float(out) - expected) <= 1e-12
+
+
 def test_translate_dot_reports_states(bif_path, tmp_path, capsys):
     out_path = tmp_path / "mc.dot"
     code, out, _ = run(
@@ -210,11 +260,23 @@ def test_infer_oracle_engine(bif_path, capsys):
 def test_infer_enum_cap_from_config(tmp_path, bif_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"enum_cap": 2}), encoding="utf-8")
+    # Mood's ancestors are all four variables: 16 assignments > 2.
     code, _, err = run(
-        ["--config", str(config), "infer", bif_path, "--engine", "oracle"], capsys
+        ["--config", str(config), "infer", bif_path, "--hyp", "Mood=0",
+         "--engine", "oracle"],
+        capsys,
     )
     assert code == 4
     assert "cap" in err
+
+
+def test_infer_empty_query_is_one_on_every_engine(tmp_path, bif_path, capsys):
+    # An empty query binds no variable, so no variable is an ancestor of it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"enum_cap": 2}), encoding="utf-8")
+    code, out, _ = run(["--config", str(config), "infer", bif_path, "--engine", "all"], capsys)
+    assert code == 0
+    assert out.splitlines()[:3] == ["explicit: 1.0", "symbolic: 1.0", "oracle: 1.0"]
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,12 @@ from bnmc import reach
 from bnmc.chain import build_mc, final_states
 from bnmc.errors import IllConditionedQueryError, MalformedQueryError, PathCapError
 from bnmc.gen import random_network, random_query
-from bnmc.network import Cpt, Variable, network_from_cpts
+from bnmc.network import Cpt, Variable, network_from_cpts, subnetwork
 from bnmc.oracle import oracle_infer
 from bnmc.reach import (
     ILL_CONDITIONED_EPS,
     ReachQuery,
+    ancestral_query,
     check_prop2,
     conditional,
     conditional_query,
@@ -213,3 +214,36 @@ def test_conditional_query_needs_no_backward_sweep(student_mood, monkeypatch):
     mc = build_mc(student_mood)
     q = ReachQuery(evidence={1: 1}, hypothesis={0: 0, 2: 0, 3: 0})
     assert conditional_query(mc, q) == pytest.approx(0.27, abs=1e-9)
+
+
+def test_ancestral_query_keeps_the_network_when_nothing_is_barren(student_mood):
+    q = ReachQuery(evidence={1: 1}, hypothesis={3: 0})  # Mood's ancestors: all four
+    bn, pruned = ancestral_query(student_mood, q)
+    assert bn is student_mood and pruned is q
+
+
+def test_ancestral_query_remaps_to_the_ancestor_subnetwork(student_mood, student_mood_dpg):
+    # Ancestors of Prep and Grade: Dif, Prep, Grade; Mood is barren.
+    q = ReachQuery(evidence={2: 0}, hypothesis={1: 1})
+    bn, pruned = ancestral_query(student_mood, q)
+    assert bn == student_mood_dpg
+    assert pruned == ReachQuery(evidence={2: 0}, hypothesis={1: 1})
+    assert conditional_query(build_mc(bn), pruned) == pytest.approx(
+        oracle_infer(student_mood, q), abs=1e-15
+    )
+    # Two roots and their descendant's parents, with ids that move.
+    bn, pruned = ancestral_query(student_mood, ReachQuery(hypothesis={1: 0}))
+    assert [v.name for v in bn.variables] == ["Prep"]
+    assert pruned == ReachQuery(hypothesis={0: 0})
+    bn, pruned = ancestral_query(student_mood, ReachQuery())
+    assert bn.variables == () and pruned == ReachQuery()
+
+
+def test_ancestral_query_of_a_long_chain_head():
+    from conftest import chain_bn
+
+    bn = chain_bn(40)
+    sub, q = ancestral_query(bn, ReachQuery(evidence={3: 1}, hypothesis={0: 0}))
+    assert sub == subnetwork(bn, range(4))
+    assert q == ReachQuery(evidence={3: 1}, hypothesis={0: 0})
+    assert len(build_mc(sub).states) == 31
