@@ -9,6 +9,7 @@ or through the BNMC_STATE_CAP environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,10 @@ def _load_network(path: str) -> BayesianNetwork:
 def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    config = json.loads(Path(args.config).read_text("utf-8"))
+    try:
+        config = json.loads(Path(args.config).read_text("utf-8"))
+    except RecursionError:
+        raise BnmcError(f"config file {args.config} is nested too deeply") from None
     if not isinstance(config, dict):
         raise BnmcError(f"config file {args.config} must hold a JSON object")
     return config
@@ -217,6 +221,7 @@ def cmd_psdd_eval(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bnmc",

@@ -2,14 +2,16 @@
 
 One manager owns a fixed total variable order and every node created under
 it. Node references are plain integers, valid only within their manager.
+The node store is append-only: no node is ever freed, so a reference stays
+valid for the life of its manager, and the manager's memory goes with it.
 Reduction (no duplicate structure, no node with identical children) is
 enforced at creation time, so two references in one manager are equal
 exactly when their functions agree on every evaluation.
 
-Terminal values are keyed by their exact bit pattern; the only merging is
-the collapse of -0.0 into 0.0, which is the same real number. Intermediate
-results (partial sums) may exceed 1; range restrictions on distributions
-are the caller's concern.
+Terminal values are keyed by the float itself; the only merging of distinct
+floats is the collapse of -0.0 into 0.0, which is the same real number.
+Intermediate results (partial sums) may exceed 1; range restrictions on
+distributions are the caller's concern.
 
 Node creation and the operations that populate caches must be serialized
 per manager; finished references may be read concurrently.
@@ -18,7 +20,6 @@ per manager; finished references may be read concurrently.
 from __future__ import annotations
 
 import math
-import struct
 from typing import Callable, Iterable, Mapping, Sequence
 
 NodeRef = int
@@ -39,11 +40,10 @@ class MtbddManager:
         self._vars = variables
         self._level = {v: i for i, v in enumerate(variables)}
         self._leaf_level = len(variables)
-        # Node store: terminals are (leaf_level, value), inner nodes
-        # (level, lo, hi). Freed slots are recycled after collect().
-        self._nodes: list[tuple | None] = []
-        self._free: list[int] = []
-        self._terminals: dict[bytes, int] = {}
+        # Append-only node store: terminals are (leaf_level, value), inner
+        # nodes (level, lo, hi). A reference is valid for the manager's life.
+        self._nodes: list[tuple] = []
+        self._terminals: dict[float, int] = {}
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_memo: dict[tuple, int] = {}
         self._restrict_memo: dict[tuple, int] = {}
@@ -63,10 +63,7 @@ class MtbddManager:
     def _entry(self, ref: NodeRef) -> tuple:
         if not isinstance(ref, int) or not 0 <= ref < len(self._nodes):
             raise ValueError(f"invalid node reference {ref!r}")
-        entry = self._nodes[ref]
-        if entry is None:
-            raise ValueError(f"node reference {ref} was collected")
-        return entry
+        return self._nodes[ref]
 
     def is_terminal(self, ref: NodeRef) -> bool:
         return len(self._entry(ref)) == 2
@@ -92,15 +89,11 @@ class MtbddManager:
 
     @property
     def live_nodes(self) -> int:
-        return len(self._nodes) - len(self._free)
+        return len(self._nodes)
 
     # -- construction ------------------------------------------------------
 
     def _alloc(self, entry: tuple) -> NodeRef:
-        if self._free:
-            ref = self._free.pop()
-            self._nodes[ref] = entry
-            return ref
         self._nodes.append(entry)
         return len(self._nodes) - 1
 
@@ -110,22 +103,20 @@ class MtbddManager:
             raise ValueError(f"terminal value must be finite and nonnegative: {value!r}")
         if value == 0.0:
             value = 0.0  # collapse -0.0
-        key = struct.pack("<d", value)
-        ref = self._terminals.get(key)
+        ref = self._terminals.get(value)
         if ref is None:
             ref = self._alloc((self._leaf_level, value))
-            self._terminals[key] = ref
+            self._terminals[value] = ref
         return ref
 
     def node(self, var: str, lo: NodeRef, hi: NodeRef) -> NodeRef:
-        return self._mk(self.level(var), lo, hi)
+        level = self.level(var)
+        if level >= self._level_of(lo) or level >= self._level_of(hi):
+            raise ValueError(f"variable {var!r} must precede both children in the order")
+        return self._mk(level, lo, hi)
 
     def _mk(self, level: int, lo: NodeRef, hi: NodeRef) -> NodeRef:
-        if level >= self._level_of(lo) or level >= self._level_of(hi):
-            raise ValueError(
-                f"variable {self._vars[level]!r} must precede both children "
-                "in the order"
-            )
+        """Reduced node; `lo` and `hi` must be valid and lie below `level`."""
         if lo == hi:
             return lo
         key = (level, lo, hi)
@@ -142,13 +133,13 @@ class MtbddManager:
         if fn is None:
             raise ValueError(f"unsupported operator {op!r}; use one of {sorted(_OPS)}")
         self._entry(a), self._entry(b)
-        return self._apply(op, fn, a, b)
+        return self._apply(fn, a, b)
 
-    def _apply(self, op: str, fn, a: NodeRef, b: NodeRef) -> NodeRef:
+    def _apply(self, fn, a: NodeRef, b: NodeRef) -> NodeRef:
         ea, eb = self._nodes[a], self._nodes[b]
         if len(ea) == 2 and len(eb) == 2:
             return self.terminal(fn(ea[1], eb[1]))
-        key = (op, a, b) if a <= b else (op, b, a)  # all supported ops commute
+        key = (fn, a, b) if a <= b else (fn, b, a)  # all supported ops commute
         hit = self._apply_memo.get(key)
         if hit is not None:
             return hit
@@ -156,9 +147,7 @@ class MtbddManager:
         level = min(la, lb)
         a0, a1 = (ea[1], ea[2]) if la == level else (a, a)
         b0, b1 = (eb[1], eb[2]) if lb == level else (b, b)
-        result = self._mk(
-            level, self._apply(op, fn, a0, b0), self._apply(op, fn, a1, b1)
-        )
+        result = self._mk(level, self._apply(fn, a0, b0), self._apply(fn, a1, b1))
         self._apply_memo[key] = result
         return result
 
@@ -196,7 +185,6 @@ class MtbddManager:
         result = a
         for level in levels:  # bottom-up keeps intermediate diagrams small
             result = self._apply(
-                "+",
                 _OPS["+"],
                 self._restrict(result, level, 0),
                 self._restrict(result, level, 1),
@@ -242,35 +230,6 @@ class MtbddManager:
                 stack.append(entry[2])
                 stack.append(entry[1])
         return order
-
-    # -- maintenance ---------------------------------------------------------
-
-    def clear_caches(self) -> None:
-        """Drop operation memo tables; never changes any result reference."""
-        self._apply_memo.clear()
-        self._restrict_memo.clear()
-
-    def collect(self, roots: Iterable[NodeRef]) -> int:
-        """Reclaim nodes unreachable from `roots`; returns the number freed.
-
-        References not reachable from the given roots become invalid. The
-        default usage pattern is grow-only; collection is an explicit
-        opt-in for long-lived managers.
-        """
-        keep = set(self._reachable(roots))
-        freed = 0
-        for ref, entry in enumerate(self._nodes):
-            if entry is None or ref in keep:
-                continue
-            if len(entry) == 2:
-                del self._terminals[struct.pack("<d", entry[1])]
-            else:
-                del self._unique[entry]
-            self._nodes[ref] = None
-            self._free.append(ref)
-            freed += 1
-        self.clear_caches()  # memo entries may mention freed refs
-        return freed
 
     # -- export ----------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from bnmc.fixtures import student_mood_texts
 from bnmc.gen import random_network, random_query
 from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.oracle import oracle_infer
-from bnmc.reach import ancestral_query
+from bnmc.reach import ReachQuery, ancestral_query
 
 import random
 
@@ -290,6 +290,36 @@ def test_infer_rejects_malformed_config(tmp_path, bif_path, capsys, text):
     )
     assert code == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000 + "]" * 200_000, '{"state_cap": 5, "x": ' + "[" * 5000 + "]" * 5000 + "}"],
+    ids=["top-level", "inside-object"],
+)
+def test_infer_rejects_deeply_nested_config(tmp_path, bif_path, capsys, text):
+    config = tmp_path / "nested.json"
+    config.write_text(text, encoding="utf-8")
+    code, _, err = run(["--config", str(config), "infer", bif_path, "--hyp", "Mood=0"], capsys)
+    assert code == 2
+    assert err.splitlines() == [f"error: config file {config} is nested too deeply"]
+
+
+def test_main_keeps_no_arguments_between_calls(tmp_path, bif_path, capsys):
+    bn = load_student_mood()
+    marginal = oracle_infer(bn, ReachQuery(evidence={}, hypothesis={bn.by_name("Mood").id: 0}))
+    code, conditional, _ = run(["infer", bif_path, "--ev", "Prep=1", "--hyp", "Mood=0"], capsys)
+    assert code == 0
+    code, out, _ = run(["infer", bif_path, "--hyp", "Mood=0"], capsys)
+    assert code == 0
+    assert float(out) == pytest.approx(marginal, abs=1e-12)
+    assert float(conditional) != pytest.approx(marginal, abs=1e-6)
+    # A config given to one call is not read by the next.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"enum_cap": 2}), encoding="utf-8")
+    oracle_args = ["infer", bif_path, "--hyp", "Mood=0", "--engine", "oracle"]
+    assert run(["--config", str(config), *oracle_args], capsys)[0] == 4
+    assert run(oracle_args, capsys)[0] == 0
 
 
 def test_translate_keep_zero_edges_flag(tmp_path, capsys):

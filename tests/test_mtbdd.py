@@ -90,6 +90,21 @@ def test_node_order_violation():
         mgr.node("z2", inner, t0)
 
 
+@pytest.mark.parametrize(
+    "make_bad",
+    [lambda mgr: -1, lambda mgr: len(mgr._nodes), lambda mgr: "0"],
+    ids=["negative", "past-the-end", "string"],
+)
+def test_node_rejects_invalid_child_reference(make_bad):
+    mgr = MtbddManager(VARS4)
+    t = mgr.terminal(0.5)
+    bad = make_bad(mgr)
+    with pytest.raises(ValueError, match="invalid node reference"):
+        mgr.node("z0", bad, t)
+    with pytest.raises(ValueError, match="invalid node reference"):
+        mgr.node("z0", t, bad)
+
+
 def test_node_unknown_variable():
     mgr = MtbddManager(VARS4)
     with pytest.raises(ValueError, match="unknown"):
@@ -328,34 +343,6 @@ def test_unique_table_never_holds_unreduced_nodes():
         assert level < mgr._level_of(lo)
         assert level < mgr._level_of(hi)
         assert mgr._nodes[ref] == (level, lo, hi)
-
-
-def test_clearing_caches_preserves_results():
-    rng = random.Random(17)
-    mgr = MtbddManager(VARS4)
-    ta, tb = random_table(rng, 16), random_table(rng, 16)
-    a, b = from_table(mgr, VARS4, ta), from_table(mgr, VARS4, tb)
-    before = mgr.apply("*", a, b)
-    mgr.clear_caches()
-    assert mgr.apply("*", a, b) == before
-
-
-def test_collect_keeps_roots_and_frees_garbage():
-    mgr = MtbddManager(VARS4)
-    rng = random.Random(19)
-    keep_table = random_table(rng, 16, pool=(0.3, 0.6))
-    keep = from_table(mgr, VARS4, keep_table)
-    for _ in range(20):
-        from_table(mgr, VARS4, random_table(rng, 16, pool=(0.11, 0.22, 0.44)))
-    live_before = mgr.live_nodes
-    freed = mgr.collect([keep])
-    assert freed > 0
-    assert mgr.live_nodes == live_before - freed
-    for e in evaluations(VARS4):
-        assert mgr.evaluate(keep, e) == table_value(keep_table, VARS4, e)
-    # The unique tables stay canonical after a collection.
-    again = from_table(mgr, VARS4, keep_table)
-    assert again == keep
 
 
 def test_to_dot_deterministic(student_mood_dpg):
