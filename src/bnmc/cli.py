@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input error, 3 ill-conditioned query, 4 resource
 cap exceeded. Human-readable results go to stdout, diagnostics to stderr.
-Caps can be set per invocation (flags), in a JSON config file (--config),
-or through the BNMC_STATE_CAP environment variable.
+Each cap comes from its flag (only --state-cap has one), else from the JSON
+file named by --config, else from the library default. Every command reads
+and checks a given --config before it runs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -37,40 +37,34 @@ def _load_network(path: str) -> BayesianNetwork:
     return bif.parse_bif(Path(path).read_text("utf-8"))
 
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    try:
-        config = json.loads(Path(args.config).read_text("utf-8"))
-    except RecursionError:
-        raise BnmcError(f"config file {args.config} is nested too deeply") from None
-    if not isinstance(config, dict):
-        raise BnmcError(f"config file {args.config} must hold a JSON object")
-    return config
+CAP_DEFAULTS = {"state_cap": chain.DEFAULT_STATE_CAP, "enum_cap": oracle.DEFAULT_ENUM_CAP}
 
 
-def _config_int(config: dict, key: str) -> int:
-    value = config[key]
-    if type(value) is not int:
-        raise BnmcError(f"config value {key} must be an integer, got {value!r}")
-    return value
+def _resolve_caps(args) -> None:
+    """Set every cap on `args`: its flag, else its `--config` key, else the default.
 
-
-def _state_cap(args, config: dict) -> int:
-    if getattr(args, "state_cap", None) is not None:
-        return args.state_cap
-    if "state_cap" in config:
-        return _config_int(config, "state_cap")
-    env = os.environ.get("BNMC_STATE_CAP")
-    if env is not None:
-        return int(env)
-    return chain.DEFAULT_STATE_CAP
-
-
-def _enum_cap(config: dict) -> int:
-    if "enum_cap" in config:
-        return _config_int(config, "enum_cap")
-    return oracle.DEFAULT_ENUM_CAP
+    A given config file is read and checked once, whatever the command.
+    """
+    config = {}
+    if args.config:
+        try:
+            config = json.loads(Path(args.config).read_text("utf-8"))
+        except RecursionError:
+            raise BnmcError(f"config file {args.config} is nested too deeply") from None
+        if not isinstance(config, dict):
+            raise BnmcError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(config.keys() - CAP_DEFAULTS.keys())
+        if unknown:
+            raise BnmcError(
+                f"config file {args.config} has unknown keys {unknown}; "
+                f"the keys are {' and '.join(CAP_DEFAULTS)}"
+            )
+    for key, default in CAP_DEFAULTS.items():
+        value = config.get(key, default)
+        if type(value) is not int:
+            raise BnmcError(f"config value {key} must be an integer, got {value!r}")
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
 def _parse_bindings(items: list[str], decode: Callable[[str, str], tuple]) -> dict:
@@ -114,10 +108,7 @@ def cmd_stats(args) -> int:
 
 def cmd_translate(args) -> int:
     bn = _load_network(args.network)
-    config = _load_config(args)
-    mc = chain.build_mc(
-        bn, keep_zero_edges=args.keep_zero_edges, state_cap=_state_cap(args, config)
-    )
+    mc = chain.build_mc(bn, keep_zero_edges=args.keep_zero_edges, state_cap=args.state_cap)
     text = export.export_jani(mc) if args.format == "jani" else export.export_dot(mc)
     report = f"states: {len(mc.states)} (bound {chain.size_bound(bn)})"
     if args.output:
@@ -131,7 +122,6 @@ def cmd_translate(args) -> int:
 
 def cmd_infer(args) -> int:
     bn = _load_network(args.network)
-    config = _load_config(args)
 
     def domain_label(name: str, label: str) -> tuple[int, int]:
         v = bn.by_name(name)
@@ -149,20 +139,17 @@ def cmd_infer(args) -> int:
     results: dict[str, float] = {}
     for engine in engines:
         if engine == "explicit":
-            mc = chain.build_mc(bn, state_cap=_state_cap(args, config))
+            mc = chain.build_mc(bn, state_cap=args.state_cap)
             results[engine] = reach.conditional_query(mc, query)
         elif engine == "symbolic":
             sym = symbolic.compile_network(bn)
             results[engine] = symbolic.infer(sym, query)
         else:
-            results[engine] = oracle.oracle_infer(bn, query, enum_cap=_enum_cap(config))
+            results[engine] = oracle.oracle_infer(bn, query, enum_cap=args.enum_cap)
     if args.engine == "all":
         for engine in engines:
             print(f"{engine}: {results[engine]!r}")
-        values = list(results.values())
-        deviation = max(
-            abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
-        )
+        deviation = max(results.values()) - min(results.values())
         print(f"max deviation: {deviation:.3e}")
     else:
         print(repr(results[args.engine]))
@@ -228,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Bayesian-network inference via Markov-chain "
         "reachability, decision diagrams, and enumeration.",
     )
-    parser.add_argument("--config", help="JSON file with caps (e.g. state_cap)")
+    parser.add_argument("--config", help="JSON file with caps: state_cap, enum_cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="network statistics")
@@ -276,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_caps(args)
         return args.func(args)
     except IllConditionedQueryError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -283,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (BnmcError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (BnmcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

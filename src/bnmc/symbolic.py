@@ -103,24 +103,28 @@ def _table_diagram(
     sizes = [len(bn.variables[w].domain) for w in scope]
     parents = [scope.index(p) for p in cpt.parents]
     owner = scope.index(var_id)
-    # Counting each scope variable over its 2^width patterns, in diagram
-    # order, lists the leaves in lexicographic bit order; values past the
-    # domain get 0. Then one level is merged per pass from the bottom:
-    # siblings differ only in the last remaining level's bit. An iterative
-    # build leaves no self-referencing closure to keep `mgr` alive.
+    # One leaf per table entry, in diagram order with the last scope variable
+    # fastest. Then, from the last scope variable up, each run of its `size`
+    # values is padded with zeros to its 2^width bit patterns and its bits
+    # merged one per pass from the bottom: siblings differ only in the last
+    # remaining bit. An iterative build leaves no self-referencing closure to
+    # keep `mgr` alive.
+    zero = mgr.terminal(0.0)
     nodes = [
-        mgr.terminal(
-            0.0
-            if any(v >= size for v, size in zip(values, sizes))
-            else cpt.rows[tuple(values[i] for i in parents)][values[owner]]
-        )
-        for values in product(*(range(1 << len(encoding.bits[w])) for w in scope))
+        mgr.terminal(cpt.rows[tuple(values[i] for i in parents)][values[owner]])
+        for values in product(*map(range, sizes))
     ]
-    for label in reversed([label for w in scope for label in encoding.bits[w]]):
-        nodes = [
-            lo if lo == hi else mgr.node(label, lo, hi)
-            for lo, hi in zip(nodes[0::2], nodes[1::2])
-        ]
+    for w, size in zip(reversed(scope), reversed(sizes)):
+        labels = encoding.bits[w]
+        pad = [zero] * ((1 << len(labels)) - size)
+        if pad:
+            runs = (nodes[k : k + size] + pad for k in range(0, len(nodes), size))
+            nodes = [n for run in runs for n in run]
+        for label in reversed(labels):
+            nodes = [
+                lo if lo == hi else mgr.node(label, lo, hi)
+                for lo, hi in zip(nodes[0::2], nodes[1::2])
+            ]
     return nodes[0]
 
 

@@ -140,13 +140,12 @@ def test_infer_ill_conditioned_exit_code(tmp_path, capsys):
     assert "ill-conditioned" in err
 
 
-def test_infer_symbolic_engine_above_the_state_cap(tmp_path, capsys, monkeypatch):
+def test_infer_symbolic_engine_above_the_state_cap(tmp_path, capsys):
     from conftest import chain_bn, chain_forward
 
     bn = chain_bn(40)
     path = tmp_path / "chain40.bif"
     path.write_text(write_bif(bn), encoding="utf-8")
-    monkeypatch.delenv("BNMC_STATE_CAP", raising=False)
     query = [str(path), "--ev", "v39=1", "--hyp", "v0=0"]
     code, out, _ = run(["infer", *query, "--engine", "symbolic"], capsys)
     assert code == 0
@@ -187,14 +186,13 @@ def test_infer_pruned_answers_match_the_unpruned_oracle(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n, engine", [(40, "explicit"), (70, "symbolic"), (70, "oracle")])
-def test_infer_on_a_long_chain_head_ignores_the_tail(tmp_path, capsys, monkeypatch, n, engine):
+def test_infer_on_a_long_chain_head_ignores_the_tail(tmp_path, capsys, n, engine):
     # Unpruned, chain_bn(40) exceeds the default state cap and chain_bn(70)
     # the symbolic bit limit and the enumeration cap; v0..v3 fit all three.
     from conftest import chain_bn, chain_forward
 
     path = tmp_path / "chain.bif"
     path.write_text(write_bif(chain_bn(n)), encoding="utf-8")
-    monkeypatch.delenv("BNMC_STATE_CAP", raising=False)
     code, out, err = run(
         ["infer", str(path), "--ev", "v3=1", "--hyp", "v0=0", "--engine", engine], capsys
     )
@@ -229,15 +227,6 @@ def test_translate_refuses_above_cap(tmp_path, capsys):
     code, _, err = run(["translate", str(path), "--format", "dot"], capsys)
     assert code == 4
     assert str(2**31 - 1) in err
-
-
-def test_translate_cap_override_via_env(tmp_path, capsys, monkeypatch):
-    bn = random_network(random.Random(1), n_vars=8, min_domain=2, max_domain=2, name="mid")
-    path = tmp_path / "mid.bif"
-    path.write_text(write_bif(bn), encoding="utf-8")
-    monkeypatch.setenv("BNMC_STATE_CAP", "10")
-    code, _, _ = run(["translate", str(path), "--format", "dot"], capsys)
-    assert code == 4
 
 
 def test_translate_cap_from_config(tmp_path, bif_path, capsys):
@@ -280,16 +269,39 @@ def test_infer_empty_query_is_one_on_every_engine(tmp_path, bif_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["[1]", '{"state_cap": null}', '{"enum_cap": "5"}', '{"enum_cap": 2.0}']
+    "text",
+    ["[1]", '{"state_cap": null}', '{"enum_cap": "5"}', '{"enum_cap": 2.0}', '{"statecap": 2}'],
 )
-def test_infer_rejects_malformed_config(tmp_path, bif_path, capsys, text):
+def test_infer_rejects_malformed_config(tmp_path, bif_path, psdd_paths, capsys, text):
+    # Every command reads and checks the config, whether or not it uses a cap.
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")
-    code, _, err = run(
-        ["--config", str(config), "infer", bif_path, "--engine", "all"], capsys
-    )
-    assert code == 2
-    assert "config" in err
+    forms = [
+        ["stats", bif_path],
+        ["translate", bif_path, "--format", "dot"],
+        ["bench", bif_path],
+        ["psdd-eval", *psdd_paths],
+        *(["infer", bif_path, "--engine", e] for e in ("explicit", "symbolic", "oracle", "all")),
+    ]
+    for form in forms:
+        code, out, err = run(["--config", str(config), *form], capsys)
+        assert (code, out) == (2, ""), form
+        assert err.startswith("error: config ") and err.count("\n") == 1, form
+    if "statecap" in text:
+        assert f"config file {config} has unknown keys ['statecap']" in err
+
+
+def test_state_cap_flag_beats_config(tmp_path, bif_path, capsys):
+    # The student network's chain has 31 states.
+    for config_cap, flag_cap, expected in ((5, 31, 0), (31, 5, 4)):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"state_cap": config_cap}), encoding="utf-8")
+        for form in (
+            ["translate", bif_path, "--format", "dot"],
+            ["infer", bif_path, "--hyp", "Mood=0", "--engine", "explicit"],
+        ):
+            args = ["--config", str(config), *form, "--state-cap", str(flag_cap)]
+            assert run(args, capsys)[0] == expected, (config_cap, flag_cap, form)
 
 
 @pytest.mark.parametrize(

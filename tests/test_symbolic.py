@@ -238,6 +238,42 @@ def test_table_diagrams_pinned_digest():
     )
 
 
+def test_table_leaves_count_table_entries_not_bit_patterns(monkeypatch):
+    """A ternary child of six ternary parents costs its 3^7 table entries.
+
+    Padding every value tuple to its 2-bit patterns would cost 4^7 leaves.
+    """
+    from bnmc.mtbdd import MtbddManager
+
+    roots = [Variable(id=i, name=f"p{i}", domain=("a", "b", "c")) for i in range(6)]
+    child = Variable(id=6, name="c", domain=("a", "b", "c"))
+    cpts = [Cpt(owner=i, parents=(), rows={(): (0.2, 0.3, 0.5)}) for i in range(6)]
+    rows = {
+        values: (0.1, 0.2, 0.7) if sum(values) % 2 else (0.6, 0.4, 0.0)
+        for values in product(range(3), repeat=6)
+    }
+    cpts.append(Cpt(owner=6, parents=tuple(range(6)), rows=rows))
+    bn = network_from_cpts("star", [*roots, child], cpts)
+    calls = 0
+    terminal = MtbddManager.terminal
+
+    def counted(self, value):
+        nonlocal calls
+        calls += 1
+        return terminal(self, value)
+
+    monkeypatch.setattr(MtbddManager, "terminal", counted)
+    sym = compile_network(bn)
+    entries = sum(len(c.rows) * len(bn.variables[c.owner].domain) for c in bn.cpts)
+    assert entries + len(bn.cpts) == 2212
+    assert calls <= 2212
+    monkeypatch.undo()
+    assignment = {**{i: i % 3 for i in range(6)}, 6: 2}
+    assert infer(sym, ReachQuery(evidence={}, hypothesis=assignment)) == pytest.approx(
+        joint_probability(bn, assignment), abs=1e-15
+    )
+
+
 def test_manager_freed_without_cycle_collector(student_mood):
     gc.disable()
     try:
