@@ -15,7 +15,14 @@ from itertools import islice, product
 from math import prod
 
 from .errors import BifParseError
-from .network import BayesianNetwork, Cpt, Variable, network_from_cpts, validate
+from .network import (
+    BayesianNetwork,
+    Cpt,
+    Variable,
+    kahn_order,
+    network_from_cpts,
+    validate,
+)
 
 # One match per piece of text: whitespace and comments are matched without
 # the group, a token inside it. A `/*` with no closing `*/` becomes a token
@@ -330,13 +337,46 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
     return network_from_cpts(doc.name, variables, [cpts[i] for i in range(len(variables))])
 
 
-def parse_bif(text: str | bytes) -> BayesianNetwork:
-    """Parse BIF text into a validated network."""
-    bn = document_to_network(parse_bif_document(text))
+def declared_sizes(doc: BifDocument) -> list[int] | None:
+    """Domain sizes in the network's topological order, read from the variable
+    blocks and parent lists alone, with no table converted.
+
+    The order is the one `network.topological_order` gives the converted
+    network: Kahn's, ties broken by declaration index. None when the blocks
+    declare no such order: an undeclared or repeated name, a variable without
+    exactly one probability block, or a cycle.
+    """
+    index = {block.name: i for i, block in enumerate(doc.variables)}
+    if len(index) != len(doc.variables) or len(doc.probabilities) != len(index):
+        return None
+    owners: set[str] = set()
+    edges: set[tuple[int, int]] = set()
+    for block in doc.probabilities:
+        names = (block.owner, *block.parents)
+        if block.owner in owners or len(set(names)) != len(names):
+            return None
+        if any(name not in index for name in names):
+            return None
+        owners.add(block.owner)
+        edges.update((index[p], index[block.owner]) for p in block.parents)
+    order = kahn_order(len(index), edges)
+    if len(order) != len(index):
+        return None
+    return [len(doc.variables[v].values) for v in order]
+
+
+def validated_network(doc: BifDocument) -> BayesianNetwork:
+    """Convert a parsed document into a validated network."""
+    bn = document_to_network(doc)
     problems = validate(bn)
     if problems:
         raise BifParseError("invalid network: " + "; ".join(problems))
     return bn
+
+
+def parse_bif(text: str | bytes) -> BayesianNetwork:
+    """Parse BIF text into a validated network."""
+    return validated_network(parse_bif_document(text))
 
 
 def _fmt(p: float) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Iterable
 
 from .errors import StateCapError
 from .network import Assignment, BayesianNetwork, check_assignment, topological_order
@@ -68,11 +69,25 @@ class MarkovChain:
 
 def size_bound(bn: BayesianNetwork) -> int:
     """Exact state count of the unpruned chain: 1 + sum of domain-size prefixes."""
+    return prefix_bound(len(bn.variables[v].domain) for v in topological_order(bn))
+
+
+def prefix_bound(sizes: Iterable[int]) -> int:
+    """1 + the sum of the prefix products of domain sizes given in chain order."""
     total, prefix = 1, 1
-    for var_id in topological_order(bn):
-        prefix *= len(bn.variables[var_id].domain)
+    for size in sizes:
+        prefix *= size
         total += prefix
     return total
+
+
+def check_state_cap(bound: int, state_cap: int) -> None:
+    """Refuse a chain of up to `bound` states when that exceeds `state_cap`."""
+    if bound > state_cap:
+        raise StateCapError(
+            f"chain would have up to {bound} states, above the cap of {state_cap}; "
+            "use the symbolic engine or raise the cap"
+        )
 
 
 def build_mc(
@@ -87,12 +102,7 @@ def build_mc(
     construction refuses outright when the unpruned bound exceeds `state_cap`.
     """
     order = tuple(topological_order(bn))
-    bound = size_bound(bn)
-    if bound > state_cap:
-        raise StateCapError(
-            f"chain would have up to {bound} states, above the cap of {state_cap}; "
-            "use the symbolic engine or raise the cap"
-        )
+    check_state_cap(prefix_bound(len(bn.variables[v].domain) for v in order), state_cap)
     n = len(order)
     position = {v: i for i, v in enumerate(order)}
 

@@ -107,7 +107,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    bn = _load_network(args.network)
+    # The cap needs only the declared structure: refuse before any table is
+    # converted. A structure with no topological order is left to the
+    # conversion, which reports it.
+    doc = bif.parse_bif_document(Path(args.network).read_text("utf-8"))
+    sizes = bif.declared_sizes(doc)
+    if sizes is not None:
+        chain.check_state_cap(chain.prefix_bound(sizes), args.state_cap)
+    bn = bif.validated_network(doc)
     mc = chain.build_mc(bn, keep_zero_edges=args.keep_zero_edges, state_cap=args.state_cap)
     text = export.export_jani(mc) if args.format == "jani" else export.export_dot(mc)
     report = f"states: {len(mc.states)} (bound {chain.size_bound(bn)})"

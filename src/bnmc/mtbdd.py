@@ -13,6 +13,10 @@ floats is the collapse of -0.0 into 0.0, which is the same real number.
 Intermediate results (partial sums) may exceed 1; range restrictions on
 distributions are the caller's concern.
 
+The apply memo persists for the manager's life. `cofactor` (which
+`restrict` calls with one bit) and `sum_abstract` each make one recursive
+pass with a memo that lasts only that call (Bahar et al. 1993).
+
 Node creation and the operations that populate caches must be serialized
 per manager; finished references may be read concurrently.
 """
@@ -46,7 +50,6 @@ class MtbddManager:
         self._terminals: dict[float, int] = {}
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_memo: dict[tuple, int] = {}
-        self._restrict_memo: dict[tuple, int] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -98,15 +101,19 @@ class MtbddManager:
         return len(self._nodes) - 1
 
     def terminal(self, value: float) -> NodeRef:
-        value = float(value)
-        if math.isnan(value) or math.isinf(value) or value < 0.0:
-            raise ValueError(f"terminal value must be finite and nonnegative: {value!r}")
-        if value == 0.0:
-            value = 0.0  # collapse -0.0
-        ref = self._terminals.get(value)
+        ref = self._terminals.get(value)  # a hit equals a valid stored float
         if ref is None:
-            ref = self._alloc((self._leaf_level, value))
-            self._terminals[value] = ref
+            value = float(value)
+            if math.isnan(value) or math.isinf(value) or value < 0.0:
+                raise ValueError(
+                    f"terminal value must be finite and nonnegative: {value!r}"
+                )
+            if value == 0.0:
+                value = 0.0  # collapse -0.0
+            ref = self._terminals.get(value)
+            if ref is None:
+                ref = self._alloc((self._leaf_level, value))
+                self._terminals[value] = ref
         return ref
 
     def node(self, var: str, lo: NodeRef, hi: NodeRef) -> NodeRef:
@@ -153,42 +160,77 @@ class MtbddManager:
 
     def restrict(self, a: NodeRef, var: str, value: int) -> NodeRef:
         """Cofactor: fix one variable to 0 or 1."""
-        target = self.level(var)
-        if value not in (0, 1):
-            raise ValueError("restriction value must be 0 or 1")
-        self._entry(a)
-        return self._restrict(a, target, value)
+        return self.cofactor(a, {self.level(var): value})
 
-    def _restrict(self, a: NodeRef, target: int, value: int) -> NodeRef:
+    def cofactor(self, a: NodeRef, cube: Mapping[int, int]) -> NodeRef:
+        """Fix every level in `cube` (level -> 0 or 1) in one pass."""
+        self._entry(a)
+        for level, bit in cube.items():
+            if not (isinstance(level, int) and 0 <= level < self._leaf_level):
+                raise ValueError(f"invalid level {level!r}")
+            if bit not in (0, 1):
+                raise ValueError("restriction value must be 0 or 1")
+        if not cube:
+            return a
+        return self._cofactor(a, cube, max(cube), {})
+
+    def _cofactor(
+        self, a: NodeRef, cube: Mapping[int, int], last: int, memo: dict
+    ) -> NodeRef:
         entry = self._nodes[a]
         level = entry[0]
-        if level > target:  # includes terminals; target variable cannot occur
+        if level > last:  # includes terminals; no cube level occurs below
             return a
-        if level == target:
-            return entry[1 + value]
-        key = (a, target, value)
-        hit = self._restrict_memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._mk(
-            level,
-            self._restrict(entry[1], target, value),
-            self._restrict(entry[2], target, value),
-        )
-        self._restrict_memo[key] = result
+        bit = cube.get(level)
+        if bit is not None:
+            return self._cofactor(entry[1 + bit], cube, last, memo)
+        result = memo.get(a)
+        if result is None:
+            result = memo[a] = self._mk(
+                level,
+                self._cofactor(entry[1], cube, last, memo),
+                self._cofactor(entry[2], cube, last, memo),
+            )
         return result
 
     def sum_abstract(self, a: NodeRef, variables: Iterable[str]) -> NodeRef:
         """Sum the function over all valuations of the given variables."""
-        levels = sorted({self.level(v) for v in variables}, reverse=True)
+        levels = sorted({self.level(v) for v in variables})
         self._entry(a)
-        result = a
-        for level in levels:  # bottom-up keeps intermediate diagrams small
+        return self._sum_abstract(a, levels, 0, {})
+
+    def _sum_abstract(self, a: NodeRef, levels: list[int], i: int, memo: dict) -> NodeRef:
+        """`a` summed over `levels[i:]`, one recursive pass from the top.
+
+        A cube level adds the two summed children, a cube level that `a`
+        skips doubles, any other level is rebuilt. Every value is the same
+        tree of additions as summing the levels one at a time from the
+        bottom, so the result is the same reference.
+        """
+        if i == len(levels):
+            return a
+        key = (a, i)
+        result = memo.get(key)
+        if result is not None:
+            return result
+        entry = self._nodes[a]
+        level, cube_level = entry[0], levels[i]
+        if level > cube_level:  # includes terminals
+            half = self._sum_abstract(a, levels, i + 1, memo)
+            result = self._apply(_OPS["+"], half, half)
+        elif level == cube_level:
             result = self._apply(
                 _OPS["+"],
-                self._restrict(result, level, 0),
-                self._restrict(result, level, 1),
+                self._sum_abstract(entry[1], levels, i + 1, memo),
+                self._sum_abstract(entry[2], levels, i + 1, memo),
             )
+        else:
+            result = self._mk(
+                level,
+                self._sum_abstract(entry[1], levels, i, memo),
+                self._sum_abstract(entry[2], levels, i, memo),
+            )
+        memo[key] = result
         return result
 
     def evaluate(self, a: NodeRef, evaluation: Mapping[str, int]) -> float:

@@ -164,15 +164,18 @@ def validate(bn: BayesianNetwork) -> list[str]:
     return out
 
 
-def topological_order(bn: BayesianNetwork) -> list[int]:
-    """Kahn's algorithm; ties broken by ascending variable id."""
-    indegree = {v.id: 0 for v in bn.variables}
-    children: dict[int, list[int]] = {v.id: [] for v in bn.variables}
-    for p, c in bn.edges:
+def kahn_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Kahn's algorithm over ids 0..n-1, ties broken by ascending id.
+
+    On a cyclic edge set the order is short: it misses every id on a cycle
+    and every descendant of one.
+    """
+    indegree = dict.fromkeys(range(n), 0)
+    children: dict[int, list[int]] = {i: [] for i in range(n)}
+    for p, c in edges:
         indegree[c] += 1
         children[p].append(c)
-    ready = [i for i, d in sorted(indegree.items()) if d == 0]
-    heapq.heapify(ready)
+    ready = [i for i, d in indegree.items() if d == 0]  # ascending: a heap
     order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
@@ -181,12 +184,30 @@ def topological_order(bn: BayesianNetwork) -> list[int]:
             indegree[c] -= 1
             if indegree[c] == 0:
                 heapq.heappush(ready, c)
+    return order
+
+
+def topological_order(bn: BayesianNetwork) -> list[int]:
+    """Kahn's algorithm; ties broken by ascending variable id."""
+    order = kahn_order(len(bn.variables), bn.edges)
     if len(order) != len(bn.variables):
-        stuck = {i for i, d in indegree.items() if d > 0}
+        stuck = set(range(len(bn.variables))) - set(order)
         child = min(stuck)
         parent = min(p for p, c in bn.edges if c == child and p in stuck)
         raise CycleError(parent, child)
     return order
+
+
+def ancestors(bn: BayesianNetwork, var_ids: Iterable[int]) -> set[int]:
+    """The given variables and every ancestor of them, by a walk over parents."""
+    found: set[int] = set()
+    stack = list(var_ids)
+    while stack:
+        var_id = stack.pop()
+        if var_id not in found:
+            found.add(var_id)
+            stack.extend(bn.parents(var_id))
+    return found
 
 
 def check_assignment(bn: BayesianNetwork, assignment: Assignment) -> None:

@@ -17,7 +17,7 @@ from .chain import MarkovChain
 # benchmarks/tracing.py wraps reach.final_states and reach.reach_probability by name.
 from .chain import final_states  # noqa: F401
 from .errors import IllConditionedQueryError, MalformedQueryError, PathCapError
-from .network import BayesianNetwork, check_assignment, subnetwork
+from .network import BayesianNetwork, ancestors, check_assignment, subnetwork
 
 # Denominators below this are treated as zero to avoid division blow-up.
 ILL_CONDITIONED_EPS = 1e-300
@@ -57,13 +57,7 @@ def ancestral_query(
     Boult 1990). When every variable is an ancestor, `bn` and `q` themselves
     are returned.
     """
-    keep: set[int] = set()
-    stack = list(q.combined())
-    while stack:
-        var_id = stack.pop()
-        if var_id not in keep:
-            keep.add(var_id)
-            stack.extend(bn.parents(var_id))
+    keep = ancestors(bn, q.combined())
     if len(keep) == len(bn.variables):
         return bn, q
     # subnetwork numbers the kept variables densely in ascending id order.

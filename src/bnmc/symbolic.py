@@ -7,11 +7,15 @@ get probability zero in every table diagram, so summing a variable over all
 2^w patterns of its bits is exact. The diagram's variable order follows the
 network's topological order with the bits of one variable kept adjacent.
 
-The mass of a partial assignment never needs the full joint: each CPT
-diagram is restricted by the bound bits, and the free variables are summed
-out one at a time in reverse topological order, each over the product of
-only the factors that mention it (bucket elimination, Dechter 1996). The
-monolithic joint diagram is built only when `SymbolicBn.joint` is read.
+The mass of a partial assignment never needs the full joint, nor any CPT
+outside the ancestors of the bound variables: such a CPT sums out to 1
+(barren-node removal: Shachter 1986; Baker and Boult 1990), so it is
+skipped and an empty binding has mass exactly 1. Each ancestral CPT
+diagram is cofactored by the bound bits in its scope, and the free
+variables are summed out one at a time in reverse topological order, each
+over the product of only the factors that mention it (bucket elimination,
+Dechter 1996). The monolithic joint diagram is built only when
+`SymbolicBn.joint` is read.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BitWidthError, IllConditionedQueryError
 from .mtbdd import MtbddManager, NodeRef
-from .network import BayesianNetwork, check_assignment, topological_order
+from .network import BayesianNetwork, ancestors, check_assignment, topological_order
 from .reach import ReachQuery, conditional
 
 MAX_TOTAL_BITS = 62
@@ -60,13 +64,21 @@ class BitEncoding:
         return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
 
 
+class _MassPlan(NamedTuple):
+    """Static data of a compiled model; plain ints only, no manager."""
+
+    position: Mapping[int, int]  # variable id -> topological position
+    scopes: Mapping[int, tuple[int, ...]]  # variable id -> its CPT's parents, itself
+    levels: Mapping[int, range]  # variable id -> its bits' levels, msb first
+
+
 @dataclass(frozen=True)
 class SymbolicBn:
     """A compiled network: one table diagram per CPT in one manager.
 
-    The masses answered so far and, once read, the joint are cached on the
-    instance; like the manager's own memo tables, they must be filled by
-    one thread at a time.
+    The masses answered so far, the plan the first mass computes and, once
+    read, the joint are cached on the instance; like the manager's own memo
+    tables, they must be filled by one thread at a time.
     """
 
     network: BayesianNetwork
@@ -78,6 +90,8 @@ class SymbolicBn:
     masses: dict[tuple[tuple[int, int], ...], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Set by the first mass (`_mass_plan`), not at compile time.
+    _plan: _MassPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     __hash__ = None
 
@@ -159,24 +173,52 @@ def bits_of_assignment(sym: SymbolicBn, assignment: Mapping[int, int]) -> dict[s
     return out
 
 
+def _mass_plan(sym: SymbolicBn) -> _MassPlan:
+    """The model's plan, computed once, on its first mass.
+
+    It is kept in a field set in place, not by `functools.cached_property`:
+    that writes through the instance `__dict__`, after which every attribute
+    read on the model is about three times slower in CPython 3.11, the
+    memoized masses of a warm model included.
+    """
+    plan = sym._plan
+    if plan is None:
+        position, scopes, levels, start = {}, {}, {}, 0
+        for pos, v in enumerate(sym.order):
+            width = len(sym.encoding.bits[v])
+            position[v] = pos
+            scopes[v] = (*sym.network.cpts[v].parents, v)
+            levels[v] = range(start, start + width)
+            start += width
+        plan = _MassPlan(position, scopes, levels)
+        object.__setattr__(sym, "_plan", plan)
+    return plan
+
+
 def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
     """Probability of a partial assignment by bucket elimination.
 
-    Each factor (a restricted CPT diagram) waits in the bucket of its latest
-    free variable in topological order; a bucket's factors are multiplied,
-    that variable's bits summed out, and the result passed on. Factors with
-    no free variable left are terminals and are multiplied as floats.
+    Only the CPTs of the binding's ancestors take part: every other CPT sums
+    out to 1 (barren-node removal). Each factor (a CPT diagram cofactored by
+    the bound bits in its scope) waits in the bucket of its latest free
+    variable in topological order; a bucket's factors are multiplied, that
+    variable's bits summed out, and the result passed on. Factors with no
+    free variable left are terminals and are multiplied as floats.
     """
     key = tuple(sorted(binding.items()))
     hit = sym.masses.get(key)
     if hit is not None:
         return hit
     mgr = sym.manager
-    bits = sym.encoding.bits
-    bound = bits_of_assignment(sym, binding)
-    position = {v: i for i, v in enumerate(sym.order)}
-    # bucket position -> [(diagram, free variable positions)]
-    buckets: list[list[tuple[NodeRef, frozenset[int]]]] = [[] for _ in sym.order]
+    plan = _mass_plan(sym)
+    position, scopes, levels = plan.position, plan.scopes, plan.levels
+    bound = {
+        w: tuple(zip(levels[w], sym.encoding.pattern(w, d))) for w, d in binding.items()
+    }
+    # The ancestors are closed under parents, so every free variable of a
+    # kept factor has a bucket.
+    kept = sorted(position[w] for w in ancestors(sym.network, binding))
+    buckets: dict[int, list[tuple[NodeRef, frozenset[int]]]] = {pos: [] for pos in kept}
     mass = 1.0
 
     def place(node: NodeRef, free: frozenset[int]) -> None:
@@ -186,22 +228,22 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
         else:
             mass *= mgr.terminal_value(node)
 
-    for var_id in sym.order:
+    for pos in kept:
+        var_id = sym.order[pos]
         node = sym.cpt_refs[var_id]
-        scope = (*sym.network.cpts[var_id].parents, var_id)
-        for w in scope:
-            if w in binding:
-                for label in bits[w]:
-                    node = mgr.restrict(node, label, bound[label])
+        scope = scopes[var_id]
+        cube = {level: bit for w in scope if w in bound for level, bit in bound[w]}
+        if cube:
+            node = mgr.cofactor(node, cube)
         place(node, frozenset(position[w] for w in scope if w not in binding))
-    for pos in range(len(sym.order) - 1, -1, -1):
+    for pos in reversed(kept):
         if not buckets[pos]:
             continue
         (node, free), *rest = buckets[pos]
         for other, other_free in rest:
             node = mgr.apply("*", node, other)
             free |= other_free
-        node = mgr.sum_abstract(node, bits[sym.order[pos]])
+        node = mgr.sum_abstract(node, sym.encoding.bits[sym.order[pos]])
         place(node, free - {pos})
     sym.masses[key] = mass
     return mass

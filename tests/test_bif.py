@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnmc.bif import parse_bif, parse_bif_document, write_bif
+from bnmc import fixtures
+from bnmc.bif import (
+    declared_sizes,
+    document_to_network,
+    parse_bif,
+    parse_bif_document,
+    write_bif,
+)
 from bnmc.errors import BifParseError
 from bnmc.gen import random_network
 from bnmc.network import validate
@@ -162,6 +169,36 @@ def test_properties_preserved_as_metadata():
     assert doc.properties == ("author = somebody",)
     assert any("position" in p for p in doc.variables[0].properties)
     assert parse_bif(text).variables[0].name == "x"
+
+
+def test_declared_sizes_give_the_chain_size_bound():
+    from bnmc.chain import prefix_bound, size_bound
+
+    rng = random.Random(11)
+    for _ in range(30):
+        bn = random_network(rng, n_vars=rng.randint(1, 9), min_domain=1, max_domain=4)
+        doc = parse_bif_document(write_bif(bn))
+        bound = size_bound(document_to_network(doc))
+        # The order of the declared parents does not change the bound.
+        for block in doc.probabilities:
+            block.parents = tuple(rng.sample(block.parents, len(block.parents)))
+        assert prefix_bound(declared_sizes(doc)) == bound
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.variables.append(doc.variables[0]),  # repeated name
+        lambda doc: doc.probabilities.pop(),  # a variable without a block
+        lambda doc: setattr(doc.probabilities[0], "parents", ("nowhere",)),
+        lambda doc: setattr(doc.probabilities[0], "parents", ("Mood",)),  # a cycle
+    ],
+)
+def test_declared_sizes_refuse_an_unordered_structure(edit):
+    doc = parse_bif_document(write_bif(fixtures.student_mood()))
+    assert declared_sizes(doc) == [2, 2, 2, 2]
+    edit(doc)
+    assert declared_sizes(doc) is None
 
 
 def test_roundtrip_fixture(student_mood):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnmc.bif import write_bif
+from bnmc.bif import parse_bif, write_bif
 from bnmc.cli import main
-from bnmc.errors import IllConditionedQueryError
+from bnmc.errors import BifParseError, IllConditionedQueryError
 from bnmc.fixtures import student_mood as load_student_mood
 from bnmc.fixtures import student_mood_texts
 from bnmc.gen import random_network, random_query
@@ -227,6 +227,43 @@ def test_translate_refuses_above_cap(tmp_path, capsys):
     code, _, err = run(["translate", str(path), "--format", "dot"], capsys)
     assert code == 4
     assert str(2**31 - 1) in err
+
+
+def _over_cap_chain_text() -> str:
+    """BIF of a 30-variable binary chain: up to 2^31 - 1 chain states."""
+    from conftest import chain_bn
+
+    return write_bif(chain_bn(30))
+
+
+def test_translate_refuses_by_cap_before_converting_tables(tmp_path, capsys):
+    text = _over_cap_chain_text()
+    row = re.search(r"\n  \(0\) ([^;]*);", text)
+    text = text.replace(row.group(0), f"\n  (0) {row.group(1)}, 0.0;", 1)
+    path = tmp_path / "bad_row.bif"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(["stats", str(path)], capsys)
+    assert code == 2 and "row has 3 entries" in err
+    code, _, err = run(["translate", str(path), "--format", "dot"], capsys)
+    assert code == 4
+    assert str(2**31 - 1) in err
+
+
+def test_translate_reports_a_cycle_not_the_cap(tmp_path, capsys):
+    text = _over_cap_chain_text()
+    head = re.search(r"probability \( v0 \) \{\n  table ([^;]*);", text)
+    text = text.replace(
+        head.group(0),
+        f"probability ( v0 | v29 ) {{\n  (0) {head.group(1)};\n  (1) {head.group(1)};",
+    )
+    path = tmp_path / "cycle.bif"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(BifParseError) as exc:
+        parse_bif(text)
+    assert "cycle" in str(exc.value)
+    code, _, err = run(["translate", str(path), "--format", "dot"], capsys)
+    assert code == 2
+    assert err == f"error: {exc.value}\n"
 
 
 def test_translate_cap_from_config(tmp_path, bif_path, capsys):

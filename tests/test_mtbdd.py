@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from itertools import product
@@ -64,6 +65,27 @@ def test_terminal_unique_table_counts_distinct_values():
     refs = {mgr.terminal(v) for v in values}
     assert len(refs) == len(set(values))
     assert mgr.live_nodes == len(set(values))
+
+
+def test_terminal_validates_every_new_value_once_terminals_exist():
+    mgr = MtbddManager(VARS4)
+    for value in (0.0, 1.0, 0.25, 2.5):
+        mgr.terminal(value)
+    live = mgr.live_nodes
+    for bad in (float("nan"), float("inf"), float("-inf"), -0.25, -1e-300):
+        with pytest.raises(ValueError):
+            mgr.terminal(bad)
+    assert mgr.live_nodes == live
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0, 0])
+def test_terminal_zero_forms_share_the_positive_zero(first):
+    mgr = MtbddManager(VARS4)
+    zero = mgr.terminal(first)
+    assert mgr.terminal(-0.0) == mgr.terminal(0) == mgr.terminal(0.0) == zero
+    value = mgr.terminal_value(zero)
+    assert type(value) is float and math.copysign(1.0, value) == 1.0
+    assert mgr.live_nodes == 1
 
 
 def test_node_redundant_child_elimination():
@@ -255,6 +277,94 @@ def test_sum_abstract_all_vars_gives_total():
     total = mgr.sum_abstract(f, VARS4)
     assert mgr.is_terminal(total)
     assert mgr.terminal_value(total) == pytest.approx(sum(table), abs=1e-12)
+
+
+# -- one-pass kernels against per-level reference loops ----------------------------
+
+VARS8 = tuple(f"y{i}" for i in range(8))
+
+
+def _reference_restrict(mgr, f, level, bit):
+    """Fix one level by rebuilding every node above it with `_mk`."""
+    memo = {}
+
+    def walk(ref):
+        if mgr.is_terminal(ref) or mgr.level(mgr.top_var(ref)) > level:
+            return ref
+        lo, hi = mgr.cofactors(ref)
+        top = mgr.level(mgr.top_var(ref))
+        if top == level:
+            return (lo, hi)[bit]
+        if ref not in memo:
+            memo[ref] = mgr._mk(top, walk(lo), walk(hi))
+        return memo[ref]
+
+    return walk(f)
+
+
+def _random_diagram(rng, mgr):
+    """A diagram over a random subset of VARS8, so some levels are absent."""
+    support = [v for v in VARS8 if rng.random() < 0.6]
+    pool = (0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3, 0.123456789)
+    return from_table(mgr, support, random_table(rng, 2 ** len(support), pool)), support
+
+
+def test_cofactor_equals_per_bit_rebuilds():
+    rng = random.Random(71)
+    mgr = MtbddManager(VARS8)
+    for trial in range(200):
+        f, support = _random_diagram(rng, mgr)
+        if trial % 4 == 0:  # levels absent from the diagram, not adjacent
+            absent = [mgr.level(v) for v in VARS8 if v not in support]
+            levels = absent[::2] + [mgr.level(v) for v in support[::2]]
+        else:
+            levels = rng.sample(range(len(VARS8)), rng.randint(0, len(VARS8)))
+        cube = {level: rng.randrange(2) for level in levels}
+        expected = f
+        for level, bit in cube.items():
+            expected = _reference_restrict(mgr, expected, level, bit)
+        assert mgr.cofactor(f, cube) == expected
+    for var in VARS8:
+        assert mgr.restrict(f, var, 1) == _reference_restrict(mgr, f, mgr.level(var), 1)
+
+
+def test_one_pass_sum_abstract_returns_the_per_level_reference():
+    rng = random.Random(72)
+    mgr = MtbddManager(VARS8)
+    cubes = [
+        ("y1", "y4", "y6"),  # not adjacent
+        VARS8,
+        ("y7",),
+        ("y0", "y2", "y3"),
+    ]
+    for trial in range(200):
+        f, support = _random_diagram(rng, mgr)
+        absent = [v for v in VARS8 if v not in support]
+        if trial < len(cubes):
+            cube = cubes[trial]
+        elif trial % 3 == 0 and absent:  # holds levels the diagram skips
+            cube = tuple(rng.sample(absent, 1) + rng.sample(support, min(2, len(support))))
+        else:
+            cube = tuple(v for v in VARS8 if rng.random() < 0.5)
+        expected = f
+        for level in sorted((mgr.level(v) for v in cube), reverse=True):
+            expected = mgr.apply(
+                "+",
+                _reference_restrict(mgr, expected, level, 0),
+                _reference_restrict(mgr, expected, level, 1),
+            )
+        assert mgr.sum_abstract(f, cube) == expected
+
+
+def test_cofactor_rejects_bad_cubes():
+    mgr = MtbddManager(VARS4)
+    f = mgr.node("z1", mgr.terminal(0.25), mgr.terminal(0.75))
+    assert mgr.cofactor(f, {}) == f
+    for cube in ({4: 0}, {-1: 1}, {"z1": 0}, {1: 2}):
+        with pytest.raises(ValueError):
+            mgr.cofactor(f, cube)
+    with pytest.raises(ValueError):
+        mgr.cofactor(len(mgr._nodes), {1: 0})
 
 
 # -- evaluate / node_count ------------------------------------------------------------

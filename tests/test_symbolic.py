@@ -20,6 +20,7 @@ from bnmc.oracle import oracle_infer
 from bnmc.reach import ReachQuery
 from bnmc.symbolic import (
     BitEncoding,
+    _restricted_mass,
     bench_evidence,
     bits_of_assignment,
     compile_network,
@@ -152,6 +153,28 @@ def test_repeated_query_is_memoized(student_mood):
     live, masses = sym.manager.live_nodes, dict(sym.masses)
     assert infer(sym, q) == first
     assert sym.manager.live_nodes == live and sym.masses == masses
+
+
+def test_empty_query_is_exactly_one_and_builds_nothing(student_mood):
+    sym = compile_network(student_mood)
+    live = sym.manager.live_nodes
+    assert infer(sym, ReachQuery()) == 1.0
+    assert sym.manager.live_nodes == live
+
+
+def test_barren_tail_builds_no_node():
+    """A mass on the head of a chain does the same work whatever the tail."""
+    from conftest import chain_bn, chain_forward
+
+    head = chain_bn(8)  # chain_bn(n) starts with the same seeded CPTs
+    growth = []
+    for tail in (10, 40):
+        sym = compile_network(chain_bn(8 + tail))
+        live = sym.manager.live_nodes
+        mass = _restricted_mass(sym, {0: 0, 7: 1})
+        growth.append(sym.manager.live_nodes - live)
+        assert abs(mass - chain_forward(head, (0,))) <= 1e-12
+    assert growth[0] == growth[1] > 0
 
 
 def test_long_chain_matches_forward_pass():
