@@ -43,7 +43,8 @@ CAP_DEFAULTS = {"state_cap": chain.DEFAULT_STATE_CAP, "enum_cap": oracle.DEFAULT
 def _resolve_caps(args) -> None:
     """Set every cap on `args`: its flag, else its `--config` key, else the default.
 
-    A given config file is read and checked once, whatever the command.
+    A given config file is read and checked once, whatever the command. A
+    cap is a nonnegative integer from either source.
     """
     config = {}
     if args.config:
@@ -61,10 +62,17 @@ def _resolve_caps(args) -> None:
             )
     for key, default in CAP_DEFAULTS.items():
         value = config.get(key, default)
-        if type(value) is not int:
-            raise BnmcError(f"config value {key} must be an integer, got {value!r}")
-        if getattr(args, key, None) is None:
+        if type(value) is not int or value < 0:
+            raise BnmcError(
+                f"config value {key} must be a nonnegative integer, got {value!r}"
+            )
+        flag = getattr(args, key, None)
+        if flag is None:
             setattr(args, key, value)
+        elif flag < 0:
+            raise BnmcError(
+                f"--{key.replace('_', '-')} must be a nonnegative integer, got {flag}"
+            )
 
 
 def _parse_bindings(items: list[str], decode: Callable[[str, str], tuple]) -> dict:

@@ -199,14 +199,18 @@ def topological_order(bn: BayesianNetwork) -> list[int]:
 
 
 def ancestors(bn: BayesianNetwork, var_ids: Iterable[int]) -> set[int]:
-    """The given variables and every ancestor of them, by a walk over parents."""
+    """The given variables and every ancestor of them, by a walk over parents.
+
+    The ids are not checked: a caller checks its query first.
+    """
+    cpts = bn.cpts
     found: set[int] = set()
     stack = list(var_ids)
     while stack:
         var_id = stack.pop()
         if var_id not in found:
             found.add(var_id)
-            stack.extend(bn.parents(var_id))
+            stack.extend(cpts[var_id].parents)
     return found
 
 

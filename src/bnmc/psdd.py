@@ -14,7 +14,6 @@ over every element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Mapping
 
@@ -49,6 +48,7 @@ class VtreeNode:
 class Vtree:
     nodes: Mapping[int, VtreeNode]
     root: int
+    variables: frozenset[str]  # every leaf label
 
     def descendants(self, node_id: int) -> tuple[int, ...]:
         """Ids of the subtree at `node_id` in pre-order: node, left, right."""
@@ -68,10 +68,6 @@ class Vtree:
             for nid in self.descendants(node_id)
             if self.nodes[nid].is_leaf
         )
-
-    @cached_property
-    def variables(self) -> frozenset[str]:
-        return self.variables_under(self.root)
 
 
 def parse_vtree(text: str) -> Vtree:
@@ -114,13 +110,13 @@ def parse_vtree(text: str) -> Vtree:
     root = roots.pop()
     # With unique references and a single root, reachable nodes form a tree;
     # anything unreachable is disconnected junk (possibly cyclic).
-    vtree = Vtree(nodes=nodes, root=root)
+    labels = [n.var for n in nodes.values() if n.is_leaf]
+    vtree = Vtree(nodes=nodes, root=root, variables=frozenset(labels))
     reachable = set(vtree.descendants(root))
     if reachable != set(nodes):
         stray = sorted(set(nodes) - reachable)
         raise PsddParseError(f"vtree nodes {stray} are not reachable from the root")
-    labels = [n.var for n in nodes.values() if n.is_leaf]
-    if len(set(labels)) != len(labels):
+    if len(vtree.variables) != len(labels):
         raise PsddParseError("vtree leaf labels must be unique")
     return vtree
 
@@ -530,11 +526,12 @@ def compare_with_bn(
     n = len(bn.variables)
     if n > PARTITION_ENUM_LIMIT:
         raise EnumerationCapError(f"{n} variables exceed the comparison limit")
+    joint = sym.joint
     worst = 0.0
     for values in product((0, 1), repeat=n):
         assignment = dict(enumerate(values))
         psdd_assignment = {mapping[i]: v for i, v in assignment.items()}
         lhs = prob_assignment(p, psdd_assignment)
-        rhs = sym.manager.evaluate(sym.joint, bits_of_assignment(sym, assignment))
+        rhs = sym.manager.evaluate(joint, bits_of_assignment(sym, assignment))
         worst = max(worst, abs(lhs - rhs))
     return worst

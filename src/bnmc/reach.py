@@ -57,7 +57,9 @@ def ancestral_query(
     Boult 1990). When every variable is an ancestor, `bn` and `q` themselves
     are returned.
     """
-    keep = ancestors(bn, q.combined())
+    combined = q.combined()
+    check_assignment(bn, combined)
+    keep = ancestors(bn, combined)
     if len(keep) == len(bn.variables):
         return bn, q
     # subnetwork numbers the kept variables densely in ascending id order.

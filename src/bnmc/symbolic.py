@@ -14,8 +14,11 @@ skipped and an empty binding has mass exactly 1. Each ancestral CPT
 diagram is cofactored by the bound bits in its scope, and the free
 variables are summed out one at a time in reverse topological order, each
 over the product of only the factors that mention it (bucket elimination,
-Dechter 1996). The monolithic joint diagram is built only when
-`SymbolicBn.joint` is read.
+Dechter 1996). Inference never reads the monolithic joint diagram,
+`SymbolicBn.joint`, which each read rebuilds from the apply memo.
+
+`compile_network` fixes a model's layout (each variable's topological
+position and bit levels); only the memo tables fill afterwards.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ import csv
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import BitWidthError, IllConditionedQueryError
 from .mtbdd import MtbddManager, NodeRef
@@ -44,6 +46,7 @@ def _width(domain_size: int) -> int:
 class BitEncoding:
     order: tuple[str, ...]  # all bit labels, manager order
     bits: Mapping[int, tuple[str, ...]]  # variable id -> labels, msb first
+    levels: Mapping[int, range]  # variable id -> manager levels, msb first
 
     @classmethod
     def from_network(
@@ -51,12 +54,14 @@ class BitEncoding:
     ) -> "BitEncoding":
         labels: list[str] = []
         bits: dict[int, tuple[str, ...]] = {}
+        levels: dict[int, range] = {}
         for var_id in order:
             v = bn.variables[var_id]
             own = tuple(f"{v.name}[{k}]" for k in range(_width(len(v.domain))))
             bits[var_id] = own
+            levels[var_id] = range(len(labels), len(labels) + len(own))
             labels.extend(own)
-        return cls(order=tuple(labels), bits=bits)
+        return cls(order=tuple(labels), bits=bits, levels=levels)
 
     def pattern(self, var_id: int, value: int) -> tuple[int, ...]:
         """Bit pattern of a domain value index, msb first."""
@@ -64,25 +69,18 @@ class BitEncoding:
         return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
 
 
-class _MassPlan(NamedTuple):
-    """Static data of a compiled model; plain ints only, no manager."""
-
-    position: Mapping[int, int]  # variable id -> topological position
-    scopes: Mapping[int, tuple[int, ...]]  # variable id -> its CPT's parents, itself
-    levels: Mapping[int, range]  # variable id -> its bits' levels, msb first
-
-
 @dataclass(frozen=True)
 class SymbolicBn:
     """A compiled network: one table diagram per CPT in one manager.
 
-    The masses answered so far, the plan the first mass computes and, once
-    read, the joint are cached on the instance; like the manager's own memo
+    Every field but `masses` is fixed by `compile_network`. The masses
+    answered so far are cached on the instance; like the manager's own memo
     tables, they must be filled by one thread at a time.
     """
 
     network: BayesianNetwork
     order: tuple[int, ...]
+    position: Mapping[int, int]  # variable id -> index in `order`
     manager: MtbddManager
     encoding: BitEncoding
     cpt_refs: Mapping[int, NodeRef]
@@ -90,14 +88,16 @@ class SymbolicBn:
     masses: dict[tuple[tuple[int, int], ...], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # Set by the first mass (`_mass_plan`), not at compile time.
-    _plan: _MassPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     __hash__ = None
 
-    @cached_property
+    @property
     def joint(self) -> NodeRef:
-        """Product of every CPT diagram in topological order, built on first read."""
+        """Product of every CPT diagram in topological order.
+
+        Each read rebuilds it through the apply memo, so every read after
+        the first finds each product memoized and allocates no node.
+        """
         joint = self.manager.terminal(1.0)
         for var_id in self.order:
             joint = self.manager.apply("*", joint, self.cpt_refs[var_id])
@@ -159,7 +159,12 @@ def compile_network(bn: BayesianNetwork) -> SymbolicBn:
     position = {v: i for i, v in enumerate(order)}
     cpt_refs = {v: _table_diagram(mgr, encoding, bn, v, position) for v in order}
     return SymbolicBn(
-        network=bn, order=order, manager=mgr, encoding=encoding, cpt_refs=cpt_refs
+        network=bn,
+        order=order,
+        position=position,
+        manager=mgr,
+        encoding=encoding,
+        cpt_refs=cpt_refs,
     )
 
 
@@ -171,28 +176,6 @@ def bits_of_assignment(sym: SymbolicBn, assignment: Mapping[int, int]) -> dict[s
         for label, bit in zip(sym.encoding.bits[var_id], pattern):
             out[label] = bit
     return out
-
-
-def _mass_plan(sym: SymbolicBn) -> _MassPlan:
-    """The model's plan, computed once, on its first mass.
-
-    It is kept in a field set in place, not by `functools.cached_property`:
-    that writes through the instance `__dict__`, after which every attribute
-    read on the model is about three times slower in CPython 3.11, the
-    memoized masses of a warm model included.
-    """
-    plan = sym._plan
-    if plan is None:
-        position, scopes, levels, start = {}, {}, {}, 0
-        for pos, v in enumerate(sym.order):
-            width = len(sym.encoding.bits[v])
-            position[v] = pos
-            scopes[v] = (*sym.network.cpts[v].parents, v)
-            levels[v] = range(start, start + width)
-            start += width
-        plan = _MassPlan(position, scopes, levels)
-        object.__setattr__(sym, "_plan", plan)
-    return plan
 
 
 def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
@@ -209,9 +192,8 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
     hit = sym.masses.get(key)
     if hit is not None:
         return hit
-    mgr = sym.manager
-    plan = _mass_plan(sym)
-    position, scopes, levels = plan.position, plan.scopes, plan.levels
+    mgr, position, cpts = sym.manager, sym.position, sym.network.cpts
+    levels = sym.encoding.levels
     bound = {
         w: tuple(zip(levels[w], sym.encoding.pattern(w, d))) for w, d in binding.items()
     }
@@ -231,7 +213,7 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
     for pos in kept:
         var_id = sym.order[pos]
         node = sym.cpt_refs[var_id]
-        scope = scopes[var_id]
+        scope = (*cpts[var_id].parents, var_id)
         cube = {level: bit for w in scope if w in bound for level, bit in bound[w]}
         if cube:
             node = mgr.cofactor(node, cube)

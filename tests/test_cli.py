@@ -307,7 +307,14 @@ def test_infer_empty_query_is_one_on_every_engine(tmp_path, bif_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["[1]", '{"state_cap": null}', '{"enum_cap": "5"}', '{"enum_cap": 2.0}', '{"statecap": 2}'],
+    [
+        "[1]",
+        '{"state_cap": null}',
+        '{"enum_cap": "5"}',
+        '{"enum_cap": 2.0}',
+        '{"statecap": 2}',
+        '{"enum_cap": -3}',
+    ],
 )
 def test_infer_rejects_malformed_config(tmp_path, bif_path, psdd_paths, capsys, text):
     # Every command reads and checks the config, whether or not it uses a cap.
@@ -339,6 +346,18 @@ def test_state_cap_flag_beats_config(tmp_path, bif_path, capsys):
         ):
             args = ["--config", str(config), *form, "--state-cap", str(flag_cap)]
             assert run(args, capsys)[0] == expected, (config_cap, flag_cap, form)
+
+
+def test_negative_state_cap_flag_exits_2(bif_path, capsys):
+    # The student network's chain has 31 states, so a cap of 0 refuses it.
+    for form in (
+        ["translate", bif_path, "--format", "dot"],
+        ["infer", bif_path, "--hyp", "Mood=0", "--engine", "explicit"],
+    ):
+        code, out, err = run([*form, "--state-cap", "-1"], capsys)
+        assert (code, out) == (2, ""), form
+        assert err == "error: --state-cap must be a nonnegative integer, got -1\n", form
+        assert run([*form, "--state-cap", "0"], capsys)[0] == 4, form
 
 
 @pytest.mark.parametrize(

@@ -152,3 +152,19 @@ def test_oracle_imports_no_other_engine():
             continue
         for name in names:
             assert name.split(".")[0] in sys.stdlib_module_names, name
+
+
+def test_package_imports_only_the_standard_library():
+    # The package stays pure stdlib: every absolute import is a standard module.
+    modules = sorted(Path(oracle.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

@@ -45,6 +45,13 @@ def test_vtree_variables_computed_once(student_mood_psdd):
     assert student_mood_psdd.vtree.variables is student_mood_psdd.vtree.variables
 
 
+def test_vtree_grows_no_instance_state(student_mood_psdd):
+    vtree = student_mood_psdd.vtree
+    fields = set(vars(vtree))
+    vtree.variables
+    assert set(vars(vtree)) == fields
+
+
 def test_parse_single_leaf():
     p = parse_psdd(SINGLE_VTREE, SINGLE_PSDD)
     assert p.variables == frozenset({"x"})

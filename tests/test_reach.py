@@ -239,6 +239,14 @@ def test_ancestral_query_remaps_to_the_ancestor_subnetwork(student_mood, student
     assert bn.variables == () and pruned == ReachQuery()
 
 
+@pytest.mark.parametrize("var_id", [-1, 4])
+def test_ancestral_query_refuses_an_unknown_id(student_mood, var_id):
+    # The walk indexes CPTs unchecked, where -1 would name the last one.
+    for q in (ReachQuery(evidence={var_id: 0}), ReachQuery(hypothesis={var_id: 0})):
+        with pytest.raises(MalformedQueryError, match=f"unknown variable id {var_id}"):
+            ancestral_query(student_mood, q)
+
+
 def test_ancestral_query_of_a_long_chain_head():
     from conftest import chain_bn
 

@@ -141,9 +141,20 @@ def test_elimination_matches_oracle_on_random_networks():
 def test_inference_never_builds_the_joint(student_mood):
     sym = compile_network(student_mood)
     infer(sym, ReachQuery(evidence={1: 1}, hypothesis={0: 0}))
-    assert "joint" not in vars(sym)
+    live = sym.manager.live_nodes
     joint = sym.joint
-    assert vars(sym)["joint"] == joint
+    assert sym.manager.live_nodes > live
+    live = sym.manager.live_nodes
+    assert sym.joint == joint and sym.manager.live_nodes == live
+
+
+def test_compiled_model_grows_no_instance_state(student_mood):
+    sym = compile_network(student_mood)
+    fields = set(vars(sym))
+    infer(sym, ReachQuery(evidence={1: 1}, hypothesis={0: 0}))
+    infer(sym, ReachQuery(evidence={2: 0}, hypothesis={3: 1}))
+    sym.joint, sym.joint
+    assert set(vars(sym)) == fields
 
 
 def test_repeated_query_is_memoized(student_mood):
