@@ -6,18 +6,33 @@ positions of every reachable state form a prefix of the order, so each
 expansion step fixes exactly the next variable and its parents are always
 evaluated already.
 
+The chain is stored the way BFS insertion lays it out, as a sparse
+row-grouped matrix: the children of a state are one contiguous run of
+indices, and the states of one layer read only a few CPT rows. So a
+non-final state keeps just the index of its first child and references to
+its CPT row's kept edges: `((p, offset), ...)` in value order, where offset
+is the child's place in the run, and the same edges indexed by value, with
+`None` for a pruned zero entry. Both are built once per CPT row and shared
+by every state that reads it; when a row prunes nothing they are one tuple.
+`successors` rebuilds a state's `(p, target)` edges. The final states are
+the last layer, a suffix of the indices.
+
 A state that disagrees with a binding reaches no final state extending it,
-so `descend` answers a binding by one forward pass down the layers along
-the agreeing edges; `final_states` and `path_probability` use it, and the
-backward sweep in `reach` serves only arbitrary goal sets.
+so `descend` answers a binding by one forward pass down the layers: a free
+layer expands every kept edge, a bound layer only the agreeing child. The
+mass of a binding is the probability of ever reaching a state that satisfies
+it, so its pass stops at the layer of the deepest bound variable; every
+layer below would only multiply by row sums of 1. `final_states` and
+`path_probability` descend to the final layer. The backward sweep in `reach`
+serves only arbitrary goal sets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import StateCapError
 from .network import Assignment, BayesianNetwork, check_assignment, topological_order
@@ -25,20 +40,33 @@ from .network import Assignment, BayesianNetwork, check_assignment, topological_
 DEFAULT_STATE_CAP = 10_000_000
 
 McState = tuple  # of int | None, one slot per variable in chain order
+Edge = tuple  # (p, offset): a child's probability and its place in the run
 
 
 @dataclass(frozen=True)
 class MarkovChain:
     network: BayesianNetwork
     order: tuple[int, ...]
+    position: Mapping[int, int]  # variable id -> index in `order`
     states: tuple[McState, ...]
-    transitions: tuple[tuple[tuple[float, int], ...], ...]
+    # Per non-final state, in index order: its first child's index, and its
+    # CPT row's kept edges in value order and indexed by value (shared per row).
+    first_child: tuple[int, ...]
+    edges: tuple[tuple[Edge, ...], ...]
+    edge_of: tuple[tuple[Edge | None, ...], ...]
     initial: int = 0
 
     __hash__ = None
 
     def position_of(self, var_id: int) -> int:
-        return self.order.index(var_id)
+        return self.position[var_id]
+
+    def successors(self, state_index: int) -> tuple[tuple[float, int], ...]:
+        """The `(p, target)` edges of a state; a final state loops on itself."""
+        if state_index >= len(self.first_child):
+            return ((1.0, state_index),)
+        first = self.first_child[state_index]
+        return tuple((p, first + offset) for p, offset in self.edges[state_index])
 
     def depth(self, state_index: int) -> int:
         return sum(1 for d in self.states[state_index] if d is not None)
@@ -49,9 +77,8 @@ class MarkovChain:
         return not state or state[-1] is not None
 
     def final_indices(self) -> range:
-        # In the BFS layout the final states are the last layer, a suffix.
-        n = len(self.states)
-        return range(bisect_left(range(n), True, key=self.is_final), n)
+        # Every state before the last layer has a first child.
+        return range(len(self.first_child), len(self.states))
 
     def assignment_of(self, state_index: int) -> dict[int, int]:
         """Bound variables of a state as an assignment keyed by variable id."""
@@ -107,76 +134,109 @@ def build_mc(
     position = {v: i for i, v in enumerate(order)}
 
     states: list[McState] = [(None,) * n]
-    transitions: list[tuple[tuple[float, int], ...]] = []
-    layer = range(1)
+    first_child: list[int] = []
+    edges: list[tuple[Edge, ...]] = []
+    edge_of: list[tuple[Edge | None, ...]] = []
+    start = 0
     for depth, var_id in enumerate(order):
         cpt = bn.cpts[var_id]
+        size = len(bn.variables[var_id].domain)
         pad = (None,) * (n - depth - 1)
-        # Per CPT row, the kept edges as (probability, child tail): the
-        # child is the parent state's bound prefix, then the tail.
-        edges = {
-            key: [(p, (value,) + pad) for value, p in enumerate(row)
-                  if p != 0.0 or keep_zero_edges]
-            for key, row in cpt.rows.items()
-        }
+        tails = [(v,) + pad for v in range(size)]
         slots = [position[parent] for parent in cpt.parents]
-        if len(slots) > 1:
-            row_key = itemgetter(*slots)
-        elif slots:
-            edges = {key[0]: e for key, e in edges.items()}
-            row_key = itemgetter(slots[0])
-        else:
-            row_key = lambda state: ()  # noqa: E731
+        # Per CPT row, keyed as itemgetter(*slots) reads a state (one slot
+        # gives the value itself): its kept edges in value order and indexed
+        # by value, and its children's tails. A child is its parent's bound
+        # prefix, then a tail.
+        row_edges, row_edge_of, row_tails = {}, {}, {}
+        for key, row in cpt.rows.items():
+            if len(slots) == 1:
+                key = key[0]
+            if keep_zero_edges or 0.0 not in row:
+                # Nothing pruned: a value's offset is the value itself.
+                row_edges[key] = row_edge_of[key] = tuple(zip(row, range(size)))
+                row_tails[key] = tails
+                continue
+            values = [v for v, p in enumerate(row) if p != 0.0]
+            row_edges[key] = kept = tuple(zip(map(row.__getitem__, values), range(size)))
+            by_value: list[Edge | None] = [None] * size
+            for v, edge in zip(values, kept):
+                by_value[v] = edge
+            row_edge_of[key] = tuple(by_value)
+            row_tails[key] = list(map(tails.__getitem__, values))
+        layer = states[start:]
+        keys = list(map(itemgetter(*slots), layer)) if slots else [()] * len(layer)
+        layer_edges = list(map(row_edges.__getitem__, keys))
         # The children of one layer, appended in order, are the next layer.
-        for state in states[layer.start:]:
-            prefix = state[:depth]
-            out = []
-            for p, tail in edges[row_key(state)]:
-                out.append((p, len(states)))
-                states.append(prefix + tail)
-            transitions.append(tuple(out))
-        layer = range(layer.stop, len(states))
-    # Final states: a self-loop only.
-    transitions.extend(((1.0, idx),) for idx in layer)
+        start = len(states)
+        first_child += accumulate(map(len, layer_edges), initial=start)
+        first_child.pop()  # the end of the last run
+        edges += layer_edges
+        edge_of += map(row_edge_of.__getitem__, keys)
+        states += [
+            prefix + tail
+            for prefix, children in zip(
+                map(itemgetter(slice(depth)), layer), map(row_tails.__getitem__, keys)
+            )
+            for tail in children
+        ]
     return MarkovChain(
         network=bn,
         order=order,
+        position=position,
         states=tuple(states),
-        transitions=tuple(transitions),
+        first_child=tuple(first_child),
+        edges=tuple(edges),
+        edge_of=tuple(edge_of),
     )
 
 
-def descend(mc: MarkovChain, binding: Assignment) -> list[tuple[int, float]]:
-    """(final index, path probability) of every final state extending `binding`.
+def descend(
+    mc: MarkovChain, binding: Assignment, *, to_final: bool
+) -> list[tuple[int, float]]:
+    """(index, path probability) of every state that agrees with `binding`
+    in the layer where its deepest bound variable is fixed, or in the final
+    layer when `to_final` is set.
 
-    One forward pass down the BFS layers from the initial state, along only
-    the edges whose child agrees with the binding at that depth: in the tree
-    a state that disagrees reaches no extending final state.
+    One forward pass down the BFS layers from the initial state: a free layer
+    expands each state's row, a bound layer takes only the child of the bound
+    value. In the tree a state that disagrees reaches no state extending the
+    binding. The caller checks that every bound value is in range.
     """
     wanted: list[int | None] = [None] * len(mc.order)
     for var_id, value in binding.items():
-        wanted[mc.position_of(var_id)] = value
-    states, transitions = mc.states, mc.transitions
+        wanted[mc.position[var_id]] = value
+    if not to_final:
+        while wanted and wanted[-1] is None:
+            wanted.pop()
+    first_child, edges, edge_of = mc.first_child, mc.edges, mc.edge_of
     layer = [(mc.initial, 1.0)]
-    for depth, value in enumerate(wanted):
-        layer = [
-            (t, m * p)
-            for idx, m in layer
-            for p, t in transitions[idx]
-            if value is None or states[t][depth] == value
-        ]
+    for value in wanted:
+        if value is None:
+            layer = [
+                (first + offset, m * p)
+                for idx, m in layer
+                for first, kept in ((first_child[idx], edges[idx]),)
+                for p, offset in kept
+            ]
+        else:
+            layer = [
+                (first_child[idx] + edge[1], m * edge[0])
+                for idx, m in layer
+                if (edge := edge_of[idx][value]) is not None
+            ]
     return layer
 
 
 def final_states(mc: MarkovChain, pred: Assignment) -> set[int]:
     """Indices of fully-evaluated states whose evaluation extends `pred`."""
     check_assignment(mc.network, pred)
-    return {idx for idx, _ in descend(mc, pred)}
+    return {idx for idx, _ in descend(mc, pred, to_final=True)}
 
 
 def path_probability(mc: MarkovChain, final_index: int) -> float:
     """Product of edge probabilities on the unique root path to a final state."""
     if not 0 <= final_index < len(mc.states) or not mc.is_final(final_index):
         raise ValueError(f"state {final_index} is not a final state")
-    [(_, product)] = descend(mc, mc.assignment_of(final_index))
+    [(_, product)] = descend(mc, mc.assignment_of(final_index), to_final=True)
     return product

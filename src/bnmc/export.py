@@ -74,7 +74,7 @@ def export_jani(mc: MarkovChain) -> str:
             continue
         depth = mc.depth(idx)
         destinations = []
-        for p, target in mc.transitions[idx]:
+        for p, target in mc.successors(idx):
             destinations.append(
                 {
                     "location": "loc",
@@ -127,8 +127,8 @@ def export_dot(mc: MarkovChain) -> str:
         label = mc.render_state(idx)
         shape = ", peripheries=2" if mc.is_final(idx) else ""
         lines.append(f'  s{idx} [label="{label}"{shape}];')
-    for idx, row in enumerate(mc.transitions):
-        for p, target in row:
+    for idx in range(len(mc.states)):
+        for p, target in mc.successors(idx):
             lines.append(f'  s{idx} -> s{target} [label="{p!r}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,11 @@
 
 The chain is acyclic apart from final self-loops, so a single backward sweep
 in reverse insertion order is exact; no iterative solving is needed. The
-sweep serves only arbitrary goal sets (`check_prop2`): a conditional query
-sums the path probabilities that `chain.descend` finds in one forward pass.
+sweep serves only arbitrary goal sets (`check_prop2`). A conditional query
+needs two masses, and the mass of a binding is the probability of ever
+reaching a state that satisfies it: the sum of the path probabilities that
+`chain.descend` finds in one forward pass, which stops at the layer where
+the binding's deepest variable is fixed.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ def reach_probability(mc: MarkovChain, goal: Iterable[int]) -> float:
     # and the final states form a suffix.
     for idx in range(mc.final_indices().start - 1, -1, -1):
         if idx not in goal:
-            values[idx] = fsum(p * values[t] for p, t in mc.transitions[idx])
+            values[idx] = fsum(p * values[t] for p, t in mc.successors(idx))
     return min(1.0, max(0.0, values[mc.initial]))
 
 
@@ -106,19 +109,23 @@ def conditional(mass: Callable[[Mapping[int, int]], float], q: ReachQuery) -> fl
 def conditional_query(mc: MarkovChain, q: ReachQuery) -> float:
     """Conditional probability of the hypothesis given the evidence.
 
-    Both eventualities collapse to one goal set of final states because
-    evaluations only grow along a path of the tree-shaped chain, so each mass
-    is the sum of the path probabilities of the final states that extend it.
+    Both eventualities collapse to one goal set because evaluations only grow
+    along a path of the tree-shaped chain, so each mass is the sum of the path
+    probabilities of the states that satisfy it in the layer of its deepest
+    bound variable. Going on to the final states would only multiply each by
+    row sums of 1.
     """
     check_assignment(mc.network, q.combined())
     # Looked up on the module at call time, so a wrapper of chain.descend sees it.
-    return conditional(lambda b: fsum(p for _, p in chain.descend(mc, b)), q)
+    return conditional(
+        lambda b: fsum(p for _, p in chain.descend(mc, b, to_final=False)), q
+    )
 
 
 def _satisfies(mc: MarkovChain, state_index: int, binding: Mapping[int, int]) -> bool:
     state = mc.states[state_index]
     for var_id, value in binding.items():
-        if state[mc.position_of(var_id)] != value:
+        if state[mc.position[var_id]] != value:
             return False
     return True
 
@@ -138,7 +145,7 @@ def enumerate_paths(
         if mc.is_final(idx):
             paths.append((path, product))
             continue
-        for p, t in mc.transitions[idx]:
+        for p, t in mc.successors(idx):
             stack.append((t, path + [t], product * p))
     return paths
 

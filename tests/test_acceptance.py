@@ -69,7 +69,7 @@ def test_criterion_03_explicit_chain_size_and_path():
         assert size_bound(dpg) == 15
         idx, path_product = mc.initial, 1.0
         for depth in range(3):
-            for p, target in mc.transitions[idx]:
+            for p, target in mc.successors(idx):
                 if mc.states[target][depth] == 1:
                     path_product *= p
                     idx = target

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,11 @@ from bnmc.gen import random_network
 from bnmc.network import Cpt, Variable, joint_probability, network_from_cpts
 from bnmc.reach import ReachQuery, conditional_query
 
-from conftest import single_var_bn
+from conftest import chain_bn, single_var_bn
+
+
+def _successors(mc):
+    return tuple(mc.successors(idx) for idx in range(len(mc.states)))
 
 
 def test_dpg_has_fifteen_states(student_mood_dpg):
@@ -26,7 +32,7 @@ def test_leftmost_path_probabilities(student_mood_dpg):
     idx = mc.initial
     seen = []
     for depth in range(3):
-        for p, t in mc.transitions[idx]:
+        for p, t in mc.successors(idx):
             if mc.states[t][depth] == 1:
                 seen.append(p)
                 idx = t
@@ -38,9 +44,9 @@ def test_leftmost_path_probabilities(student_mood_dpg):
 def test_single_variable_chain():
     mc = build_mc(single_var_bn(0.3))
     assert len(mc.states) == 3
-    assert mc.transitions[0] == ((0.7, 1), (0.3, 2))
-    assert mc.transitions[1] == ((1.0, 1),)
-    assert mc.transitions[2] == ((1.0, 2),)
+    assert mc.successors(0) == ((0.7, 1), (0.3, 2))
+    assert mc.successors(1) == ((1.0, 1),)
+    assert mc.successors(2) == ((1.0, 2),)
 
 
 def test_empty_network_chain():
@@ -85,7 +91,7 @@ def test_zero_edges_pruned_by_default():
     assert len(pruned.states) == 2
     kept = build_mc(bn, keep_zero_edges=True)
     assert len(kept.states) == 3
-    assert (0.0, 1) in kept.transitions[0]
+    assert (0.0, 1) in kept.successors(0)
 
 
 def test_state_cap_refusal():
@@ -99,7 +105,7 @@ def test_build_deterministic(student_mood):
     a = build_mc(student_mood)
     b = build_mc(student_mood)
     assert a.states == b.states
-    assert a.transitions == b.transitions
+    assert _successors(a) == _successors(b)
 
 
 def test_final_states_with_predicate(student_mood_dpg):
@@ -124,7 +130,7 @@ def test_final_states_value_out_of_range(student_mood_dpg):
 
 def test_outgoing_probabilities_sum_to_one(student_mood):
     mc = build_mc(student_mood)
-    for row in mc.transitions:
+    for row in _successors(mc):
         assert sum(p for p, _ in row) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -162,7 +168,7 @@ def test_final_indices_are_every_final_state(keep_zero_edges):
 
 def test_children_bind_next_variable(student_mood):
     mc = build_mc(student_mood)
-    for idx, row in enumerate(mc.transitions):
+    for idx, row in enumerate(_successors(mc)):
         if mc.is_final(idx):
             continue
         depth = mc.depth(idx)
@@ -181,7 +187,7 @@ def test_build_mc_pinned_digest():
     for i in range(20):
         bn = random_network(rng, max_vars=6, max_domain=3, zero_entry_prob=0.3)
         mc = build_mc(bn, keep_zero_edges=bool(i % 2))
-        digest.update(repr((mc.states, mc.transitions)).encode())
+        digest.update(repr((mc.states, _successors(mc))).encode())
     assert digest.hexdigest() == (
         "502d82e65bd993f8e601afe5f0dcd524582e7967f40fb8a75ff64e473b2a1783"
     )
@@ -192,3 +198,19 @@ def test_path_probability_refuses_other_states(student_mood_dpg):
     for idx in (mc.initial, mc.final_indices().start - 1, len(mc.states), -1):
         with pytest.raises(ValueError):
             path_probability(mc, idx)
+
+
+def test_chain_retains_under_256_bytes_per_state():
+    # A state costs its tuple and, per non-final state, a first-child index
+    # and two references to its CPT row's shared edges; one (p, target) pair
+    # per edge would cost more.
+    bn = chain_bn(14)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mc = build_mc(bn)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(mc.states) == 2**15 - 1
+    assert retained / len(mc.states) < 256

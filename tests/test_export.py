@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import shutil
@@ -91,3 +92,22 @@ def test_dot_edges_carry_probabilities(student_mood_dpg):
     mc = build_mc(student_mood_dpg)
     text = export_dot(mc)
     assert 's0 -> s1 [label="0.6"];' in text or 's0 -> s1 [label="0.4"];' in text
+
+
+def test_exports_pinned_digest():
+    # The seeded chains of test_chain.py's pinned digest, both keep_zero_edges
+    # settings; pinned so that a change of the chain's layout leaves both
+    # exports byte-identical.
+    rng = random.Random(101)
+    jani, dot = hashlib.sha256(), hashlib.sha256()
+    for i in range(20):
+        bn = random_network(rng, max_vars=6, max_domain=3, zero_entry_prob=0.3)
+        mc = build_mc(bn, keep_zero_edges=bool(i % 2))
+        jani.update(export_jani(mc).encode("utf-8"))
+        dot.update(export_dot(mc).encode("utf-8"))
+    assert jani.hexdigest() == (
+        "4161d00d64278ed32f3f33a8a6f603b7cc2e0cfa4f4903a691ad358d61c466f3"
+    )
+    assert dot.hexdigest() == (
+        "2dc33e1bd4e3664fdfa8a17b5142f5e376794df3ee9d135b10006bd43701119e"
+    )

@@ -255,3 +255,13 @@ def test_ancestral_query_of_a_long_chain_head():
     assert sub == subnetwork(bn, range(4))
     assert q == ReachQuery(evidence={3: 1}, hypothesis={0: 0})
     assert len(build_mc(sub).states) == 31
+
+
+def test_mass_stops_at_the_deepest_bound_layer():
+    # Only v0 is bound, so each mass stops at the root's children: the answer
+    # is the root row's entry itself, with no row sums of the layers below.
+    from conftest import chain_bn
+
+    bn = chain_bn(12, seed=1)
+    mc = build_mc(bn)
+    assert conditional_query(mc, ReachQuery(hypothesis={0: 0})) == bn.cpts[0].rows[()][0]
