@@ -116,7 +116,6 @@ def conditional_query(mc: MarkovChain, q: ReachQuery) -> float:
     row sums of 1.
     """
     check_assignment(mc.network, q.combined())
-    # Looked up on the module at call time, so a wrapper of chain.descend sees it.
     return conditional(
         lambda b: fsum(p for _, p in chain.descend(mc, b, to_final=False)), q
     )

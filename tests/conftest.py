@@ -45,6 +45,39 @@ def chain_bn(n: int, seed: int = 1, name: str = "chain") -> BayesianNetwork:
     return network_from_cpts(name, variables, cpts)
 
 
+def permuted_ids(bn: BayesianNetwork, rng: random.Random) -> BayesianNetwork:
+    """`bn` with its variable ids shuffled, so a CPT may be declared before
+    its parents' CPTs, as a BIF file that declares a child first parses."""
+    new = list(range(len(bn.variables)))
+    rng.shuffle(new)
+    variables = sorted(
+        (Variable(id=new[v.id], name=v.name, domain=v.domain) for v in bn.variables),
+        key=lambda v: v.id,
+    )
+    cpts = []
+    for cpt in bn.cpts:
+        # Parents stay in ascending-id order, and each row key follows them.
+        parents = sorted(cpt.parents, key=new.__getitem__)
+        slots = [cpt.parents.index(u) for u in parents]
+        cpts.append(
+            Cpt(
+                owner=new[cpt.owner],
+                parents=tuple(new[u] for u in parents),
+                rows={tuple(key[i] for i in slots): row for key, row in cpt.rows.items()},
+            )
+        )
+    return network_from_cpts(bn.name, variables, cpts)
+
+
+def copy_chain_bn(n: int) -> BayesianNetwork:
+    """Binary chain v0 -> ... -> v{n-1}: P(v0 = 1) = 0.75, each v_i a copy of v_{i-1}."""
+    variables = [Variable(id=i, name=f"v{i}", domain=("0", "1")) for i in range(n)]
+    copy = {(0,): (1.0, 0.0), (1,): (0.0, 1.0)}
+    cpts = [Cpt(owner=0, parents=(), rows={(): (0.25, 0.75)})]
+    cpts += [Cpt(owner=i, parents=(i - 1,), rows=copy) for i in range(1, n)]
+    return network_from_cpts("copy", variables, cpts)
+
+
 def chain_forward(bn: BayesianNetwork, first: tuple[int, ...]) -> float:
     """P(v0 in `first`, v{n-1} = 1) on a `chain_bn` by one forward pass."""
     dist = [p if v in first else 0.0 for v, p in enumerate(bn.cpts[0].rows[()])]

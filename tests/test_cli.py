@@ -296,6 +296,87 @@ def test_infer_enum_cap_from_config(tmp_path, bif_path, capsys):
     assert "cap" in err
 
 
+CHILD_FIRST_BIF = """network wet {
+}
+variable wet {
+  type discrete [ 3 ] { dry, damp, soaked };
+}
+variable sprinkler {
+  type discrete [ 2 ] { off, on };
+}
+variable rain {
+  type discrete [ 2 ] { no, yes };
+}
+probability ( wet | sprinkler, rain ) {
+  (off, no) 0.9, 0.075, 0.025;
+  (off, yes) 0.2, 0.5, 0.3;
+  (on, no) 0.1, 0.6, 0.3;
+  (on, yes) 0.01, 0.29, 0.7;
+}
+probability ( sprinkler | rain ) {
+  (no) 0.6, 0.4;
+  (yes) 0.99, 0.01;
+}
+probability ( rain ) {
+  table 0.8, 0.2;
+}
+"""
+
+
+def test_infer_all_engines_on_children_declared_before_parents(tmp_path, capsys):
+    from conftest import enumerate_mass
+
+    path = tmp_path / "wet.bif"
+    path.write_text(CHILD_FIRST_BIF, encoding="utf-8")
+    bn = parse_bif(CHILD_FIRST_BIF)
+    # Ids follow declaration order, so every parent has a higher id than its child.
+    assert [(c.owner, c.parents) for c in bn.cpts] == [(0, (1, 2)), (1, (2,)), (2, ())]
+    for ev, hyp, evidence, hypothesis in (
+        ("wet=damp", "rain=yes", {0: 1}, {2: 1}),
+        ("sprinkler=on", "wet=soaked", {1: 1}, {0: 2}),
+    ):
+        args = ["infer", str(path), "--ev", ev, "--hyp", hyp, "--engine", "all"]
+        code, out, err = run(args, capsys)
+        assert code == 0, err
+        printed = dict(line.split(": ") for line in out.splitlines())
+        joint = enumerate_mass(bn, {**evidence, **hypothesis})
+        expected = joint / enumerate_mass(bn, evidence)
+        for engine in ("explicit", "symbolic", "oracle"):
+            assert abs(float(printed[engine]) - expected) <= 1e-12
+        assert float(printed["max deviation"]) <= 1e-12
+
+
+def test_infer_oracle_on_a_3000_variable_copy_chain(tmp_path, capsys):
+    # v0 -> v1 -> ... -> v2999, each v_i a copy of v_{i-1}; 2998 evidence
+    # variables leave two free, so both masses nest at most two generators.
+    from conftest import copy_chain_bn
+
+    path = tmp_path / "copy.bif"
+    path.write_text(write_bif(copy_chain_bn(3000)), encoding="utf-8")
+    args = ["infer", str(path), "--hyp", "v2999=1", "--engine", "oracle"]
+    for i in range(1, 2999):
+        args += ["--ev", f"v{i}=1"]
+    code, out, err = run(args, capsys)
+    assert code == 0, err
+    assert float(out) == 1.0
+
+
+def test_infer_oracle_refuses_beyond_2_to_the_64_whatever_the_cap(tmp_path, capsys):
+    from conftest import chain_bn
+
+    path = tmp_path / "chain.bif"
+    path.write_text(write_bif(chain_bn(1200)), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"enum_cap": 10**400}), encoding="utf-8")
+    code, _, err = run(
+        ["--config", str(config), "infer", str(path), "--hyp", "v1199=1",
+         "--engine", "oracle"],
+        capsys,
+    )
+    assert code == 4
+    assert "2^64" in err and "Traceback" not in err
+
+
 def test_infer_empty_query_is_one_on_every_engine(tmp_path, bif_path, capsys):
     # An empty query binds no variable, so no variable is an ancestor of it.
     config = tmp_path / "config.json"

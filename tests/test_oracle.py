@@ -19,7 +19,7 @@ from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.oracle import oracle_infer
 from bnmc.reach import ILL_CONDITIONED_EPS, ReachQuery
 
-from conftest import chain_bn, enumerate_mass
+from conftest import chain_bn, copy_chain_bn, enumerate_mass, permuted_ids
 
 
 def test_oracle_quoted_value(student_mood):
@@ -65,8 +65,16 @@ def test_oracle_bit_equal_to_filtered_full_enumeration():
             (bn, ReachQuery(evidence=evidence, hypothesis=hypothesis)),
         ]
     cases.append((network_from_cpts("empty", [], []), ReachQuery()))
+    # Shuffled ids: a CPT may be declared before the CPT of a parent.
+    for _ in range(40):
+        bn = permuted_ids(
+            random_network(rng, max_vars=6, max_domain=3, edge_prob=0.6, zero_entry_prob=0.2),
+            rng,
+        )
+        cases += [(bn, random_query(rng, bn)), (bn, ReachQuery())]
     # Parentless, one-parent and multi-parent CPTs all occur.
     assert {min(len(c.parents), 2) for bn, _ in cases for c in bn.cpts} == {0, 1, 2}
+    assert sum(any(u > c.owner for c in bn.cpts for u in c.parents) for bn, _ in cases) > 20
 
     for bn, q in cases:
 
@@ -121,6 +129,23 @@ def test_oracle_refuses_malformed_query_before_counting():
     for q in (ReachQuery(evidence={0: 5}), ReachQuery(evidence={99: 0})):
         with pytest.raises(MalformedQueryError):
             oracle_infer(bn, q)
+
+
+def test_oracle_answers_a_3000_variable_copy_chain_exactly():
+    # 2998 evidence variables leave v0 and v2999 free: four assignments.
+    bn = copy_chain_bn(3000)
+    evidence = {i: 1 for i in range(1, 2999)}
+    assert oracle_infer(bn, ReachQuery(evidence=evidence, hypothesis={2999: 1})) == 1.0
+    assert oracle_infer(bn, ReachQuery(evidence=evidence, hypothesis={2999: 0})) == 0.0
+
+
+def test_oracle_refuses_beyond_2_to_the_64_whatever_the_cap():
+    bn = chain_bn(1200)
+    with pytest.raises(EnumerationCapError, match="2\\^64"):
+        oracle_infer(bn, ReachQuery(hypothesis={1199: 1}), enum_cap=10**400)
+    # 2^65 assignments are within a cap of 2^65, but not within the ceiling.
+    with pytest.raises(EnumerationCapError, match="2\\^64"):
+        oracle_infer(chain_bn(66), ReachQuery(evidence={65: 1}), enum_cap=2**65)
 
 
 def test_oracle_streams_the_enumeration():
