@@ -350,7 +350,7 @@ def declared_sizes(doc: BifDocument) -> list[int] | None:
     if len(index) != len(doc.variables) or len(doc.probabilities) != len(index):
         return None
     owners: set[str] = set()
-    edges: set[tuple[int, int]] = set()
+    parents: list[list[int]] = [[] for _ in index]
     for block in doc.probabilities:
         names = (block.owner, *block.parents)
         if block.owner in owners or len(set(names)) != len(names):
@@ -358,8 +358,8 @@ def declared_sizes(doc: BifDocument) -> list[int] | None:
         if any(name not in index for name in names):
             return None
         owners.add(block.owner)
-        edges.update((index[p], index[block.owner]) for p in block.parents)
-    order = kahn_order(len(index), edges)
+        parents[index[block.owner]] = [index[p] for p in block.parents]
+    order = kahn_order(parents)
     if len(order) != len(index):
         return None
     return [len(doc.variables[v].values) for v in order]

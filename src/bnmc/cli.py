@@ -137,9 +137,10 @@ def cmd_translate(args) -> int:
 
 def cmd_infer(args) -> int:
     bn = _load_network(args.network)
+    by_name = {v.name: v for v in bn.variables}
 
     def domain_label(name: str, label: str) -> tuple[int, int]:
-        v = bn.by_name(name)
+        v = by_name.get(name) or bn.by_name(name)  # bn.by_name raises if unknown
         if label not in v.domain:
             raise BnmcError(
                 f"value {label!r} not in the domain of {v.name} {list(v.domain)}"

@@ -6,7 +6,7 @@ class BnmcError(Exception):
 
 
 class CycleError(BnmcError):
-    """The edge set of a network is not acyclic; names one back edge."""
+    """The CPT parents of a network form a cycle; names one back edge."""
 
     def __init__(self, parent: int, child: int):
         super().__init__(f"cycle detected involving edge {parent} -> {child}")

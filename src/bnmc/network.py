@@ -1,8 +1,10 @@
 """Discrete Bayesian networks: variables, CPTs, joint probability, statistics.
 
-A network is immutable after construction; `validate` reports invariant
-violations as data instead of raising, so corpus bugs surface explicitly
-rather than being silently repaired.
+A network is its variables and their CPTs: u -> v is an edge exactly when u
+is a parent in v's CPT, so the structure is stored once and every structural
+fact is derived from the CPT parents. A network is immutable; `validate`
+reports invariant violations as data instead of raising, so corpus bugs
+surface explicitly rather than being silently repaired.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleError, MalformedQueryError
 
@@ -46,9 +48,10 @@ class Cpt:
 
 @dataclass(frozen=True, eq=True)
 class BayesianNetwork:
+    """Variables by id and one CPT each, by owner; the CPT parents are the structure."""
+
     name: str
     variables: tuple[Variable, ...]
-    edges: frozenset[tuple[int, int]]
     cpts: tuple[Cpt, ...]
 
     __hash__ = None
@@ -64,16 +67,6 @@ class BayesianNetwork:
                 return v
         raise MalformedQueryError(f"unknown variable name {name!r}")
 
-    def parents(self, var_id: int) -> tuple[int, ...]:
-        return self.cpts[self.variable(var_id).id].parents
-
-    def children(self, var_id: int) -> tuple[int, ...]:
-        self.variable(var_id)
-        return tuple(sorted(c for p, c in self.edges if p == var_id))
-
-    def domain_size(self, var_id: int) -> int:
-        return len(self.variable(var_id).domain)
-
 
 @dataclass(frozen=True)
 class NetworkStats:
@@ -88,11 +81,9 @@ class NetworkStats:
 def network_from_cpts(
     name: str, variables: Iterable[Variable], cpts: Iterable[Cpt]
 ) -> BayesianNetwork:
-    """Assemble a network whose edge set is derived from the CPT parents."""
-    variables = tuple(variables)
+    """Assemble a network, its CPTs sorted by owner; their parents are its structure."""
     cpts = tuple(sorted(cpts, key=lambda c: c.owner))
-    edges = frozenset((p, c.owner) for c in cpts for p in c.parents)
-    return BayesianNetwork(name=name, variables=variables, edges=edges, cpts=cpts)
+    return BayesianNetwork(name=name, variables=tuple(variables), cpts=cpts)
 
 
 def validate(bn: BayesianNetwork) -> list[str]:
@@ -112,11 +103,6 @@ def validate(bn: BayesianNetwork) -> list[str]:
     if len(set(names)) != len(names):
         out.append("duplicate variable names")
 
-    known = set(ids)
-    for p, c in sorted(bn.edges):
-        if p not in known or c not in known:
-            out.append(f"edge ({p}, {c}) references an unknown variable")
-
     if len(bn.cpts) != len(bn.variables):
         out.append(f"expected {len(bn.variables)} CPTs, got {len(bn.cpts)}")
         return out
@@ -124,6 +110,14 @@ def validate(bn: BayesianNetwork) -> list[str]:
     if owners != ids:
         out.append("CPTs must be ordered by owner id, exactly one per variable")
         return out
+    known = range(len(ids))
+    malformed = [
+        f"variable {v.name}: CPT parents {ps} must be distinct known ids, ascending"
+        for v, ps in zip(bn.variables, (cpt.parents for cpt in bn.cpts))
+        if any(p not in known for p in ps) or list(ps) != sorted(set(ps))
+    ]
+    if malformed:
+        return out + malformed  # the order and the rows index by parent id
 
     try:
         topological_order(bn)
@@ -132,12 +126,6 @@ def validate(bn: BayesianNetwork) -> list[str]:
 
     for cpt in bn.cpts:
         v = bn.variables[cpt.owner]
-        declared = tuple(sorted(p for p, c in bn.edges if c == cpt.owner))
-        if cpt.parents != declared:
-            out.append(
-                f"variable {v.name}: CPT parents {cpt.parents} != in-edges {declared}"
-            )
-            continue
         expected_keys = set(
             product(*(range(len(bn.variables[p].domain)) for p in cpt.parents))
         )
@@ -164,23 +152,24 @@ def validate(bn: BayesianNetwork) -> list[str]:
     return out
 
 
-def kahn_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Kahn's algorithm over ids 0..n-1, ties broken by ascending id.
+def kahn_order(parents: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's algorithm over ids 0..n-1, where `parents[v]` holds the parent
+    ids of v; ties broken by ascending id.
 
-    On a cyclic edge set the order is short: it misses every id on a cycle
+    On a cyclic structure the order is short: it misses every id on a cycle
     and every descendant of one.
     """
-    indegree = dict.fromkeys(range(n), 0)
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
-    for p, c in edges:
-        indegree[c] += 1
-        children[p].append(c)
-    ready = [i for i, d in indegree.items() if d == 0]  # ascending: a heap
+    indegree = [len(ps) for ps in parents]
+    children: list[list[int]] = [[] for _ in parents]
+    for c, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(c)  # ascending, since c is
+    ready = [i for i, d in enumerate(indegree) if d == 0]  # ascending: a heap
     order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for c in sorted(children[v]):
+        for c in children[v]:
             indegree[c] -= 1
             if indegree[c] == 0:
                 heapq.heappush(ready, c)
@@ -189,12 +178,12 @@ def kahn_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 
 def topological_order(bn: BayesianNetwork) -> list[int]:
     """Kahn's algorithm; ties broken by ascending variable id."""
-    order = kahn_order(len(bn.variables), bn.edges)
-    if len(order) != len(bn.variables):
-        stuck = set(range(len(bn.variables))) - set(order)
+    parents = [cpt.parents for cpt in bn.cpts]
+    order = kahn_order(parents)
+    if len(order) != len(parents):
+        stuck = set(range(len(parents))) - set(order)
         child = min(stuck)
-        parent = min(p for p, c in bn.edges if c == child and p in stuck)
-        raise CycleError(parent, child)
+        raise CycleError(min(p for p in parents[child] if p in stuck), child)
     return order
 
 
@@ -238,21 +227,29 @@ def joint_probability(bn: BayesianNetwork, full: Assignment) -> float:
     return p
 
 
+def _markov_blankets(bn: BayesianNetwork) -> list[set[int]]:
+    """Every variable's blanket, by one pass over the CPTs: each member of a
+    family (a CPT's owner and parents) is in the blanket of every other."""
+    blankets: list[set[int]] = [set() for _ in bn.variables]
+    for cpt in bn.cpts:
+        family = (cpt.owner, *cpt.parents)
+        for v in family:
+            blankets[v].update(family)
+    for v, blanket in enumerate(blankets):
+        blanket.discard(v)
+    return blankets
+
+
 def markov_blanket(bn: BayesianNetwork, var_id: int) -> set[int]:
     """Parents, children, and co-parents of shared children, minus the vertex."""
     bn.variable(var_id)
-    parents = {p for p, c in bn.edges if c == var_id}
-    children = {c for p, c in bn.edges if p == var_id}
-    spouses = {p for p, c in bn.edges if c in children}
-    return (parents | children | spouses) - {var_id}
+    return _markov_blankets(bn)[var_id]
 
 
 def stats(bn: BayesianNetwork) -> NetworkStats:
     n = len(bn.variables)
-    in_degrees = {v.id: 0 for v in bn.variables}
-    for _, c in bn.edges:
-        in_degrees[c] += 1
-    blanket_total = sum(len(markov_blanket(bn, v.id)) for v in bn.variables)
+    in_degrees = [len(cpt.parents) for cpt in bn.cpts]
+    blanket_total = sum(map(len, _markov_blankets(bn)))
     # Free parameters: one row per parent combination, |D|-1 per row.
     params = 0
     for cpt in bn.cpts:
@@ -262,8 +259,8 @@ def stats(bn: BayesianNetwork) -> NetworkStats:
         params += rows * (len(bn.variables[cpt.owner].domain) - 1)
     return NetworkStats(
         vertex_count=n,
-        edge_count=len(bn.edges),
-        max_in_degree=max(in_degrees.values(), default=0),
+        edge_count=sum(in_degrees),
+        max_in_degree=max(in_degrees, default=0),
         max_domain_size=max((len(v.domain) for v in bn.variables), default=0),
         avg_markov_blanket=Fraction(blanket_total, n) if n else Fraction(0),
         parameter_count=params,
@@ -276,7 +273,7 @@ def subnetwork(bn: BayesianNetwork, keep: Iterable[int]) -> BayesianNetwork:
     keep_ids = sorted(kept)
     for i in keep_ids:
         bn.variable(i)
-        for p in bn.parents(i):
+        for p in bn.cpts[i].parents:
             if p not in kept:
                 raise ValueError(
                     f"subset not closed under parents: {bn.variables[i].name} "

@@ -53,6 +53,16 @@ def test_stats_row(bif_path, capsys):
     assert row.split() == ["student_mood", "4", "3", "2", "2", "2.00", "8"]
 
 
+def test_stats_on_a_3000_variable_copy_chain(tmp_path, capsys):
+    from conftest import copy_chain_bn
+
+    path = tmp_path / "copy.bif"
+    path.write_text(write_bif(copy_chain_bn(3000)), encoding="utf-8")
+    code, out, err = run(["stats", str(path)], capsys)
+    assert code == 0, err
+    assert out.splitlines()[1].split() == ["copy", "3000", "2999", "1", "2", "2.00", "5999"]
+
+
 def test_stats_missing_file(capsys):
     code, _, err = run(["stats", "/no/such/file.bif"], capsys)
     assert code == 2
@@ -107,6 +117,12 @@ def test_infer_unknown_variable(bif_path, capsys):
     code, _, err = run(["infer", bif_path, "--ev", "Nope=1"], capsys)
     assert code == 2
     assert "unknown" in err
+
+
+def test_infer_unknown_name_message(bif_path, capsys):
+    for flag in ("--ev", "--hyp"):
+        code, out, err = run(["infer", bif_path, flag, "Nope=1"], capsys)
+        assert (code, out, err) == (2, "", "error: unknown variable name 'Nope'\n")
 
 
 def test_infer_refuses_infinite_domain_count(tmp_path, capsys):

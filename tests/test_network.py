@@ -21,7 +21,7 @@ from bnmc.network import (
     validate,
 )
 
-from conftest import single_var_bn
+from conftest import permuted_ids, single_var_bn
 
 
 def test_validate_fixture_clean(student_mood):
@@ -56,7 +56,6 @@ def test_validate_reports_missing_row(student_mood):
     broken = BayesianNetwork(
         name=student_mood.name,
         variables=student_mood.variables,
-        edges=student_mood.edges,
         cpts=student_mood.cpts[:2] + (Cpt(2, grade.parents, rows),) + student_mood.cpts[3:],
     )
     problems = validate(broken)
@@ -73,6 +72,27 @@ def test_validate_reports_cycle():
         [Cpt(owner=0, parents=(1,), rows=dict(row)), Cpt(owner=1, parents=(0,), rows=dict(row))],
     )
     assert any("cycle" in p for p in validate(bn))
+
+
+@pytest.mark.parametrize(
+    "parents, message",
+    [
+        ({1: (5,)}, "variable v1: CPT parents (5,) must be distinct known ids, ascending"),
+        ({1: (-1,)}, "variable v1: CPT parents (-1,) must be distinct known ids, ascending"),
+        ({2: (0, 0)}, "variable v2: CPT parents (0, 0) must be distinct known ids, ascending"),
+        ({2: (1, 0)}, "variable v2: CPT parents (1, 0) must be distinct known ids, ascending"),
+        ({1: (1,)}, "cycle detected involving edge 1 -> 1"),
+    ],
+    ids=["unknown", "negative", "repeated", "unsorted", "self"],
+)
+def test_validate_reports_malformed_parents_without_raising(parents, message):
+    variables = [Variable(id=i, name=f"v{i}", domain=("0", "1")) for i in range(3)]
+    cpts = []
+    for i in range(3):
+        ps = parents.get(i, ())
+        rows = {key: (0.5, 0.5) for key in product(range(2), repeat=len(ps))}
+        cpts.append(Cpt(owner=i, parents=ps, rows=rows))
+    assert validate(network_from_cpts("x", variables, cpts)) == [message]
 
 
 def test_topological_order_fixture(student_mood):
@@ -178,7 +198,7 @@ def test_topological_order_respects_edges(seed):
     order = topological_order(bn)
     assert sorted(order) == [v.id for v in bn.variables]
     position = {v: i for i, v in enumerate(order)}
-    assert all(position[p] < position[c] for p, c in bn.edges)
+    assert all(position[p] < position[cpt.owner] for cpt in bn.cpts for p in cpt.parents)
 
 
 def test_markov_blanket_fixture(student_mood):
@@ -223,6 +243,27 @@ def test_markov_blanket_symmetry(seed):
             assert (w.id in markov_blanket(bn, v.id)) == (
                 v.id in markov_blanket(bn, w.id)
             )
+
+
+def test_blankets_and_stats_match_the_edge_list_definition():
+    # The textbook definitions, over an explicit list of (parent, child) edges.
+    for seed in range(100):
+        rng = random.Random(seed)
+        bn = random_network(rng, max_vars=8, edge_prob=rng.random())
+        for net in (bn, permuted_ids(bn, rng)):
+            edges = [(p, cpt.owner) for cpt in net.cpts for p in cpt.parents]
+            sizes = []
+            for v in net.variables:
+                parents = {p for p, c in edges if c == v.id}
+                children = {c for p, c in edges if p == v.id}
+                spouses = {p for p, c in edges if c in children and p != v.id}
+                assert markov_blanket(net, v.id) == parents | children | spouses
+                sizes.append(len(parents | children | spouses))
+            s = stats(net)
+            assert s.vertex_count == len(net.variables)
+            assert s.edge_count == len(set(edges))
+            assert s.max_in_degree == max(sum(c == v.id for _, c in edges) for v in net.variables)
+            assert s.avg_markov_blanket == Fraction(sum(sizes), len(sizes))
 
 
 def test_stats_fixture(student_mood):
