@@ -319,10 +319,12 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
                     ) from None
                 add_row(declared_key, probs)
 
-        expected = set(product(*(range(len(v.domain)) for v in canonical)))
-        missing = expected - set(rows)
-        if missing:
-            key = sorted(missing)[0]
+        # Every key is in range and add_row refuses repeats, so the rows are
+        # complete when they number the parent combinations; only a short
+        # block is scanned, in ascending order, for its first missing key.
+        if len(rows) != prod(len(v.domain) for v in canonical):
+            keys = product(*(range(len(v.domain)) for v in canonical))
+            key = next(key for key in keys if key not in rows)
             raise BifParseError(
                 f"probability block {block.owner}: missing row for parents "
                 f"{tuple(v.name for v in canonical)} = {key}"

@@ -111,8 +111,9 @@ def prefix_bound(sizes: Iterable[int]) -> int:
 def check_state_cap(bound: int, state_cap: int) -> None:
     """Refuse a chain of up to `bound` states when that exceeds `state_cap`."""
     if bound > state_cap:
+        count = f"up to {bound}" if bound <= 2**64 else "more than 2^64"
         raise StateCapError(
-            f"chain would have up to {bound} states, above the cap of {state_cap}; "
+            f"chain would have {count} states, above the cap of {state_cap}; "
             "use the symbolic engine or raise the cap"
         )
 

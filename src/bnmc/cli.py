@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 3 ill-conditioned query, 4 resource
-cap exceeded. Human-readable results go to stdout, diagnostics to stderr.
-Each cap comes from its flag (only --state-cap has one), else from the JSON
-file named by --config, else from the library default. Every command reads
-and checks a given --config before it runs.
+cap exceeded or memory exhausted. Human-readable results go to stdout,
+diagnostics to stderr. Each cap comes from its flag (only --state-cap has
+one), else from the JSON file named by --config, else from the library
+default. Every command reads and checks a given --config before it runs.
 """
 
 from __future__ import annotations
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ILL_CONDITIONED
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: the process ran out of memory", file=sys.stderr)
         return EXIT_CAP
     except (BnmcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,3 +104,17 @@ def enumerate_mass(bn: BayesianNetwork, binding: dict[int, int]) -> float:
             p *= cpt.rows[key][values[cpt.owner]]
         total += p
     return total
+
+
+def one_row_block_bif(n_parents: int) -> str:
+    """BIF text of n_parents binary roots and one child that declares all of
+    them as parents but writes only the row for parents all 0."""
+    binary = "type discrete [ 2 ] { 0, 1 };"
+    names = [f"v{i}" for i in range(n_parents)]
+    lines = ["network wide { }"]
+    lines += [f"variable {name} {{ {binary} }}" for name in names + ["child"]]
+    lines += [f"probability ( {name} ) {{ table 0.5, 0.5; }}" for name in names]
+    lines.append(f"probability ( child | {', '.join(names)} ) {{")
+    lines.append(f"  ({', '.join(['0'] * n_parents)}) 0.5, 0.5;")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,16 @@ def test_parse_missing_row():
     """
     with pytest.raises(BifParseError, match="missing row"):
         parse_bif(text)
+
+
+def test_parse_missing_row_counts_rows_not_combinations():
+    # 2^40 parent combinations and one row: refused by the row count, naming
+    # the first missing combination, without listing the combinations.
+    from conftest import one_row_block_bif
+
+    key = (0,) * 39 + (1,)
+    with pytest.raises(BifParseError, match=r"missing row .* = " + re.escape(str(key))):
+        parse_bif(one_row_block_bif(40))
 
 
 def test_parse_duplicate_row():

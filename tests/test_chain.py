@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnmc.chain import build_mc, final_states, path_probability, size_bound
+from bnmc.chain import (
+    build_mc,
+    check_state_cap,
+    final_states,
+    path_probability,
+    prefix_bound,
+    size_bound,
+)
 from bnmc.errors import MalformedQueryError, StateCapError
 from bnmc.gen import random_network
 from bnmc.network import Cpt, Variable, joint_probability, network_from_cpts
@@ -99,6 +106,16 @@ def test_state_cap_refusal():
     assert size_bound(bn) == 2**31 - 1
     with pytest.raises(StateCapError, match="cap"):
         build_mc(bn)
+
+
+def test_state_cap_refusal_prints_bounds_above_2_to_the_64_briefly():
+    # 2^15001 - 1 has more decimal digits than int-to-str conversion allows.
+    with pytest.raises(StateCapError) as refused:
+        check_state_cap(prefix_bound([2] * 15000), 10**7)
+    assert "more than 2^64" in str(refused.value)
+    assert len(str(refused.value)) < 200
+    with pytest.raises(StateCapError, match=f"up to {2**64} states"):
+        check_state_cap(2**64, 10**7)
 
 
 def test_build_deterministic(student_mood):

@@ -265,6 +265,21 @@ def test_translate_refuses_by_cap_before_converting_tables(tmp_path, capsys):
     assert str(2**31 - 1) in err
 
 
+def test_chain_bound_above_2_to_the_64_is_refused_by_the_cap(tmp_path, capsys):
+    from conftest import copy_chain_bn
+
+    path = tmp_path / "copy.bif"
+    path.write_text(write_bif(copy_chain_bn(15000)), encoding="utf-8")
+    for args in (
+        ["translate", str(path), "--format", "dot"],
+        ["infer", str(path), "--ev", "v14999=1", "--engine", "explicit"],
+    ):
+        code, _, err = run(args, capsys)
+        assert code == 4
+        assert err.startswith("error: ") and "more than 2^64" in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_translate_reports_a_cycle_not_the_cap(tmp_path, capsys):
     text = _over_cap_chain_text()
     head = re.search(r"probability \( v0 \) \{\n  table ([^;]*);", text)
@@ -391,6 +406,29 @@ def test_infer_oracle_refuses_beyond_2_to_the_64_whatever_the_cap(tmp_path, caps
     )
     assert code == 4
     assert "2^64" in err and "Traceback" not in err
+
+
+def test_block_missing_most_of_2_to_the_40_rows_exits_2(tmp_path, capsys):
+    from conftest import one_row_block_bif
+
+    path = tmp_path / "wide.bif"
+    path.write_text(one_row_block_bif(40), encoding="utf-8")
+    for args in (["stats", str(path)], ["infer", str(path), "--engine", "oracle"]):
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert "missing row" in err and err.count("\n") == 1
+
+
+def test_infer_out_of_memory_exits_4(bif_path, capsys, monkeypatch):
+    from bnmc import symbolic
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(symbolic, "infer", exhaust)
+    code, out, err = run(["infer", bif_path, "--hyp", "Dif=0", "--engine", "symbolic"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
 
 
 def test_infer_empty_query_is_one_on_every_engine(tmp_path, bif_path, capsys):
