@@ -5,6 +5,11 @@ Supported subset: `network`, `variable` blocks with `type discrete`, and
 `(parent values) p1, ..., pk;` entries. `property` strings are kept as
 opaque metadata on the surrounding block. Comments follow C conventions
 (`//` and `/* ... */`) and start only at a token boundary.
+
+Only a `/` can start a comment, so text without one is split at punctuation
+and whitespace; text with one is scanned by `_SCAN`. Both give the same
+tokens, and errors the same positions. Plain variable blocks and rows are
+read from the token list in slices; anything else token by token.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .network import (
 _SCAN = re.compile(
     r"\s+|//[^\n]*|/\*.*?\*/|(/\*.*|[{}()\[\]|,;]|[^\s{}()\[\]|,;]+)", re.S
 )
+_PUNCTUATION = "{}()[]|,;"
 
 
 @dataclass
@@ -62,10 +68,17 @@ class BifDocument:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = list(filter(None, _SCAN.findall(text)))
         self.pos = 0
-        if self.tokens and self.tokens[-1].startswith("/*"):
-            raise self._error("unterminated block comment", len(self.tokens) - 1)
+        if "/" in text:
+            self.tokens = list(filter(None, _SCAN.findall(text)))
+            if self.tokens and self.tokens[-1].startswith("/*"):
+                raise self._error("unterminated block comment", len(self.tokens) - 1)
+        else:
+            # Only a `/` starts a comment, so this text is tokens, punctuation
+            # and whitespace alone; `str.split` and `\s` agree on whitespace.
+            for mark in _PUNCTUATION:
+                text = text.replace(mark, f" {mark} ")
+            self.tokens = text.split()
 
     def _error(self, message: str, index: int | None = None) -> BifParseError:
         """An error located at token `index`, by default the one read last.
@@ -105,7 +118,35 @@ class _Parser:
             raise self._error(f"expected a whole number, got {self.tokens[self.pos - 1]!r}")
         return int(count)
 
+    def _plain_numbers(self, start: int) -> tuple[tuple[float, ...], int] | None:
+        """The numbers from token `start` up to the next `;` and the index
+        after it, when numbers and single commas alternate there; else None.
+        """
+        tokens = self.tokens
+        try:
+            end = tokens.index(";", start)
+        except ValueError:
+            return None
+        items = tokens[start:end]
+        numbers = items[0::2]
+        # A comma among `numbers` fails `float` below.
+        if len(items) % 2 == 0 or items.count(",") != len(numbers) - 1:
+            return None
+        try:
+            return tuple(map(float, numbers)), end + 1
+        except ValueError:
+            return None
+
     def _number_list(self) -> tuple[float, ...]:
+        """Numbers up to `;`, which is consumed; a comma may separate two.
+
+        A plain list is read in one slice. Any other is read one token at a
+        time, which raises at the token that breaks it.
+        """
+        plain = self._plain_numbers(self.pos)
+        if plain is not None:
+            out, self.pos = plain
+            return out
         out = [self._number()]
         while self.peek() != ";":
             if self.peek() == ",":
@@ -153,6 +194,9 @@ class _Parser:
         return doc
 
     def _variable_block(self) -> VariableBlock:
+        plain = self._plain_variable_block()
+        if plain is not None:
+            return plain
         name = self.next()
         self.expect("{")
         values: tuple[str, ...] | None = None
@@ -182,6 +226,49 @@ class _Parser:
             raise BifParseError(f"variable {name}: missing 'type discrete' declaration")
         return VariableBlock(name=name, values=values, properties=tuple(props))
 
+    def _plain_variable_block(self) -> VariableBlock | None:
+        """`NAME { type discrete [ N ] { LABELS } ; }` read in slices, when the
+        block has that shape and N counts the labels; else None, and nothing
+        is consumed.
+        """
+        tokens, at = self.tokens, self.pos
+        if tokens[at + 1 : at + 5] != ["{", "type", "discrete", "["]:
+            return None
+        if tokens[at + 6 : at + 8] != ["]", "{"]:
+            return None
+        try:
+            close = tokens.index("}", at + 8)
+            count = float(tokens[at + 5])
+        except ValueError:
+            return None
+        values = tuple(tok for tok in tokens[at + 8 : close] if tok != ",")
+        if count != len(values) or tokens[close + 1 : close + 3] != [";", "}"]:
+            return None
+        self.pos = close + 3
+        return VariableBlock(name=tokens[at], values=values)
+
+    def _plain_rows(self, entries: list) -> str | None:
+        """Append each entry row `( LABELS ) NUMBERS ;` from here on, read in
+        slices, up to the first token that starts no such row; that token
+        is not consumed, and is returned.
+        """
+        tokens, at = self.tokens, self.pos
+        try:
+            while tokens[at] == "(":
+                close = tokens.index(")", at)
+                plain = self._plain_numbers(close + 1)
+                if plain is None:
+                    break
+                labels = tokens[at + 1 : close]
+                if "," in labels:
+                    labels = [tok for tok in labels if tok != ","]
+                entries.append((tuple(labels), plain[0]))
+                at = plain[1]
+        except (IndexError, ValueError):
+            pass
+        self.pos = at
+        return tokens[at] if at < len(tokens) else None
+
     def _probability_block(self) -> ProbabilityBlock:
         self.expect("(")
         owner = self.next()
@@ -195,7 +282,7 @@ class _Parser:
         table = None
         entries = []
         props = []
-        while self.peek() != "}":
+        while self._plain_rows(entries) != "}":
             tok = self.next()
             if tok == "table":
                 if table is not None:

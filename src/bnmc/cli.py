@@ -248,8 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="answer a conditional query")
     p.add_argument("network", help="BIF file")
-    p.add_argument("--ev", action="append", default=[], metavar="VAR=VALUE")
-    p.add_argument("--hyp", action="append", default=[], metavar="VAR=VALUE")
+    # A BIF name or label holds no comma, so one flag may carry many bindings.
+    for flag in ("--ev", "--hyp"):
+        p.add_argument(
+            flag,
+            action="extend",
+            type=lambda text: text.split(","),
+            default=[],
+            metavar="VAR=VALUE[,...]",
+        )
     p.add_argument(
         "--engine",
         choices=("explicit", "symbolic", "oracle", "all"),

@@ -13,6 +13,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleError, MalformedQueryError
@@ -87,7 +88,11 @@ def network_from_cpts(
 
 
 def validate(bn: BayesianNetwork) -> list[str]:
-    """Check every structural invariant; returns one message per violation."""
+    """Check every structural invariant; returns one message per violation.
+
+    The missing rows of one CPT are one message, naming the first in
+    ascending order and how many are missing.
+    """
     out: list[str] = []
     ids = [v.id for v in bn.variables]
     if ids != list(range(len(ids))):
@@ -126,15 +131,30 @@ def validate(bn: BayesianNetwork) -> list[str]:
 
     for cpt in bn.cpts:
         v = bn.variables[cpt.owner]
-        expected_keys = set(
-            product(*(range(len(bn.variables[p].domain)) for p in cpt.parents))
-        )
-        got_keys = set(cpt.rows)
-        for key in sorted(expected_keys - got_keys):
-            out.append(f"variable {v.name}: missing CPT row for parents {key}")
-        for key in sorted(got_keys - expected_keys):
+        ranges = [range(len(bn.variables[p].domain)) for p in cpt.parents]
+        # The keys in range are distinct, so the rows are complete when they
+        # number the parent combinations; only a short table is scanned, in
+        # ascending order, for its first missing key.
+        in_range, unexpected = [], []
+        for key in cpt.rows:
+            if (
+                isinstance(key, tuple)
+                and len(key) == len(ranges)
+                and all(map(range.__contains__, ranges, key))
+            ):
+                in_range.append(key)
+            else:
+                unexpected.append(key)
+        total = prod(map(len, ranges))
+        if len(in_range) != total:
+            key = next(key for key in product(*ranges) if key not in cpt.rows)
+            out.append(
+                f"variable {v.name}: missing CPT row for parents {key} "
+                f"({total - len(in_range)} of {total} missing)"
+            )
+        for key in sorted(unexpected):
             out.append(f"variable {v.name}: unexpected CPT row for parents {key}")
-        for key in sorted(got_keys & expected_keys):
+        for key in sorted(in_range):
             row = cpt.rows[key]
             if len(row) != len(v.domain):
                 out.append(

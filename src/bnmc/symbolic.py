@@ -128,17 +128,16 @@ def _table_diagram(
         mgr.terminal(cpt.rows[tuple(values[i] for i in parents)][values[owner]])
         for values in product(*map(range, sizes))
     ]
+    # Scope variables are merged from the last level up, so both children of
+    # a new node lie below its level and `_mk` needs none of `node`'s checks.
     for w, size in zip(reversed(scope), reversed(sizes)):
-        labels = encoding.bits[w]
-        pad = [zero] * ((1 << len(labels)) - size)
+        levels = encoding.levels[w]
+        pad = [zero] * ((1 << len(levels)) - size)
         if pad:
             runs = (nodes[k : k + size] + pad for k in range(0, len(nodes), size))
             nodes = [n for run in runs for n in run]
-        for label in reversed(labels):
-            nodes = [
-                lo if lo == hi else mgr.node(label, lo, hi)
-                for lo, hi in zip(nodes[0::2], nodes[1::2])
-            ]
+        for level in reversed(levels):
+            nodes = [mgr._mk(level, lo, hi) for lo, hi in zip(nodes[0::2], nodes[1::2])]
     return nodes[0]
 
 

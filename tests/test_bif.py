@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from bnmc import fixtures
 from bnmc.bif import (
+    _SCAN,
+    _Parser,
     declared_sizes,
     document_to_network,
     parse_bif,
@@ -101,6 +103,19 @@ def test_parse_reindexes_three_parents_semantically():
     # Declared (c=1, a=0, b=1) is canonical (a=0, b=1, c=1).
     assert bn.cpts[3].rows[(0, 1, 1)] == (0.4, 0.6)
     assert bn.cpts[3].rows[(1, 0, 0)] == (0.7, 0.3)
+
+
+def test_commas_between_numbers_are_optional():
+    text = """
+    network t { }
+    variable a { type discrete [ 3 ] { x, y, z }; }
+    variable b { type discrete [ 2 ] { 0, 1 }; }
+    probability ( a ) { table 0.2 0.3 0.5; }
+    probability ( b | a ) { (x) 0.1 0.9; (y) 0.2, 0.8; (z) 0.3 , 0.7 ; }
+    """
+    bn = parse_bif(text)
+    assert bn.cpts[0].rows[()] == (0.2, 0.3, 0.5)
+    assert bn.cpts[1].rows == {(0,): (0.1, 0.9), (1,): (0.2, 0.8), (2,): (0.3, 0.7)}
 
 
 def test_parse_undeclared_variable():
@@ -249,6 +264,7 @@ def test_whole_domain_count_accepted(count):
 
 
 _VAR = "variable x { type discrete [ 2 ] { no, yes }; }\n"
+_Y = "variable y { type discrete [ 2 ] { no, yes }; }\nprobability ( x ) { table 0.5, 0.5; }\n"
 
 
 @pytest.mark.parametrize(
@@ -283,9 +299,65 @@ _VAR = "variable x { type discrete [ 2 ] { no, yes }; }\n"
             "network t { }\n" + _VAR + "probability ( x ) { table 0.5, 0.5;",
             "unexpected end of input",
         ),
+        # Comment-free text, split at punctuation: one case per error of a
+        # block or row read in bulk.
+        (  # a non-number in a table row
+            "network t { }\n" + _VAR + "probability ( x ) { table 0.5, half; }\n",
+            "line 3, col 32: expected a number, got 'half'",
+        ),
+        (  # a non-number in an entry row without commas
+            "network t { }\n" + _VAR + _Y + "probability ( y | x ) {\n"
+            "  (no) 0.5, 0.5;\n  (yes) 0.5 0.5e;\n}\n",
+            "line 7, col 13: expected a number, got '0.5e'",
+        ),
+        (  # a missing `;` before `}`
+            "network t { }\n" + _VAR + "probability ( x ) { table 0.5, 0.5 }\n",
+            "line 3, col 36: expected a number, got '}'",
+        ),
+        (  # a doubled comma
+            "network t { }\n" + _VAR + "probability ( x ) { table 0.5,, 0.5; }\n",
+            "line 3, col 31: expected a number, got ','",
+        ),
+        (  # a trailing comma
+            "network t { }\n" + _VAR + "probability ( x ) { table 0.5, 0.5,; }\n",
+            "line 3, col 36: expected a number, got ';'",
+        ),
+        (  # a count that is not whole
+            "network t { }\nvariable x { type discrete [ 2.5 ] { no, yes }; }\n",
+            "line 2, col 30: expected a whole number, got '2.5'",
+        ),
+        (  # more values declared than listed
+            "network t { }\nvariable x { type discrete [ 3 ] { no, yes }; }\n",
+            "line 2, col 14: variable x: declared 3 values, listed 2",
+        ),
+        (  # an unsupported item
+            "network t { }\n" + _VAR + "probability ( x ) { tabel 0.5, 0.5; }\n",
+            "line 3, col 21: probability block x: unsupported item 'tabel'",
+        ),
     ],
 )
 def test_error_positions_pinned(text, message):
     with pytest.raises(BifParseError) as info:
         parse_bif(text)
     assert str(info.value) == message
+
+
+# Punctuation, comment starts, word characters and whitespace that `\s`
+# matches beyond ASCII.
+_PIECES = "{}()[]|,;/*aZx09.-" + " \t\n\x1c\x85\u3000"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(alphabet=_PIECES.replace("/", ""), max_size=40),
+        st.text(alphabet=_PIECES, max_size=40),
+    )
+)
+def test_tokens_are_the_scanner_tokens(text):
+    reference = list(filter(None, _SCAN.findall(text)))
+    if reference and reference[-1].startswith("/*"):
+        with pytest.raises(BifParseError, match="unterminated block comment"):
+            _Parser(text)
+    else:
+        assert _Parser(text).tokens == reference

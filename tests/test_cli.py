@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,22 @@ def test_infer_quoted_query(bif_path, capsys):
     code, out, _ = run(args, capsys)
     assert code == 0
     assert float(out.strip()) == pytest.approx(0.27, abs=1e-9)
+
+
+def test_infer_bindings_in_one_flag_match_repeated_flags(bif_path, capsys):
+    repeated = ["--ev", "Prep=1", "--hyp", "Dif=0", "--hyp", "Grade=0", "--hyp", "Mood=0"]
+    _, expected, _ = run(["infer", bif_path, *repeated], capsys)
+    # Comma lists, mixed with a repeated flag, and the network given last.
+    args = ["infer", "--ev", "Prep=1", "--hyp", "Dif=0,Grade=0", "--hyp", "Mood=0", bif_path]
+    code, out, err = run(args, capsys)
+    assert code == 0, err
+    assert out == expected
+
+
+def test_infer_trailing_comma_in_bindings_exits_2(bif_path, capsys):
+    code, _, err = run(["infer", bif_path, "--ev", "Prep=1,"], capsys)
+    assert code == 2
+    assert "var=value" in err
 
 
 def test_infer_empty_query_is_one(bif_path, capsys):
@@ -390,6 +407,35 @@ def test_infer_oracle_on_a_3000_variable_copy_chain(tmp_path, capsys):
     code, out, err = run(args, capsys)
     assert code == 0, err
     assert float(out) == 1.0
+
+
+def test_infer_oracle_on_a_3000_variable_copy_chain_in_one_flag(tmp_path, capsys):
+    from conftest import copy_chain_bn
+
+    path = tmp_path / "copy.bif"
+    path.write_text(write_bif(copy_chain_bn(3000)), encoding="utf-8")
+    evidence = ",".join(f"v{i}=1" for i in range(1, 2999))
+    args = ["infer", "--ev", evidence, "--hyp", "v2999=1", "--engine", "oracle", str(path)]
+    code, out, err = run(args, capsys)
+    assert code == 0, err
+    assert float(out) == 1.0
+
+
+def test_megabyte_table_row_without_semicolon_exits_2(tmp_path, capsys):
+    # Comment-free, so split at punctuation; the row runs to the closing
+    # brace and is read one token at a time up to it.
+    row = "0.5, " * 200_000 + "0.5 }"
+    path = tmp_path / "long-row.bif"
+    path.write_text(
+        "network t { }\nvariable x { type discrete [ 2 ] { no, yes }; }\n"
+        f"probability ( x ) {{ table {row}\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    code, _, err = run(["stats", str(path)], capsys)
+    assert code == 2
+    assert err == "error: line 3, col 1000031: expected a number, got '}'\n"
+    assert time.perf_counter() - start < 20
 
 
 def test_infer_oracle_refuses_beyond_2_to_the_64_whatever_the_cap(tmp_path, capsys):

@@ -62,6 +62,29 @@ def test_validate_reports_missing_row(student_mood):
     assert any("missing CPT row" in p for p in problems)
 
 
+def test_validate_counts_missing_rows_without_listing_them():
+    # 2^26 parent combinations and one row: one message, naming the first
+    # missing row and how many are missing.
+    n = 26
+    variables = [Variable(id=i, name=f"v{i}", domain=("0", "1")) for i in range(n + 1)]
+    cpts = [Cpt(owner=i, parents=(), rows={(): (0.5, 0.5)}) for i in range(n)]
+    cpts.append(Cpt(owner=n, parents=tuple(range(n)), rows={(0,) * n: (0.5, 0.5)}))
+    assert validate(network_from_cpts("wide", variables, cpts)) == [
+        f"variable v{n}: missing CPT row for parents {(0,) * (n - 1) + (1,)} "
+        f"({2**n - 1} of {2**n} missing)"
+    ]
+
+
+def test_validate_reports_unexpected_rows_apart_from_missing_ones():
+    variables = [Variable(id=i, name=n, domain=("0", "1")) for i, n in enumerate("ab")]
+    rows = {(0,): (0.5, 0.5), (2,): (0.5, 0.5)}
+    cpts = [Cpt(owner=0, parents=(), rows={(): (0.5, 0.5)}), Cpt(owner=1, parents=(0,), rows=rows)]
+    assert validate(network_from_cpts("odd", variables, cpts)) == [
+        "variable b: missing CPT row for parents (1,) (1 of 2 missing)",
+        "variable b: unexpected CPT row for parents (2,)",
+    ]
+
+
 def test_validate_reports_cycle():
     a = Variable(id=0, name="a", domain=("0", "1"))
     b = Variable(id=1, name="b", domain=("0", "1"))
