@@ -11,7 +11,6 @@ from .bif import BifDocument, parse_bif, parse_bif_document, write_bif
 from .chain import MarkovChain, build_mc, final_states, size_bound
 from .errors import (
     BifParseError,
-    BitWidthError,
     BnmcError,
     CapError,
     CycleError,

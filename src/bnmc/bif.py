@@ -334,10 +334,14 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
             )
         owner = by_name[block.owner]
         declared_parents = []
-        for p in block.parents:
+        for k, p in enumerate(block.parents):
             if p not in by_name:
                 raise BifParseError(
                     f"probability block {block.owner}: undeclared parent {p!r}"
+                )
+            if p in block.parents[:k]:
+                raise BifParseError(
+                    f"probability block {block.owner}: parent {p} listed twice"
                 )
             declared_parents.append(by_name[p])
         if owner.id in cpts:

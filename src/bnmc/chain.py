@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 from .errors import StateCapError
 from .network import Assignment, BayesianNetwork, check_assignment, topological_order
@@ -54,7 +54,8 @@ class MarkovChain:
     first_child: tuple[int, ...]
     edges: tuple[tuple[Edge, ...], ...]
     edge_of: tuple[tuple[Edge | None, ...], ...]
-    initial: int = 0
+    # The BFS layout, `descend` and every reader in `reach` start at index 0.
+    initial: ClassVar[int] = 0
 
     __hash__ = None
 

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 3 ill-conditioned query, 4 resource
-cap exceeded or memory exhausted. Human-readable results go to stdout,
-diagnostics to stderr. Each cap comes from its flag (only --state-cap has
-one), else from the JSON file named by --config, else from the library
-default. Every command reads and checks a given --config before it runs.
+cap exceeded or memory or recursion depth exhausted. Human-readable results
+go to stdout, diagnostics to stderr. Each cap comes from its flag (only
+--state-cap has one), else from the JSON file named by --config, else from
+the library default. Every command reads and checks a given --config before
+it runs.
 """
 
 from __future__ import annotations
@@ -294,8 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except MemoryError:
-        print("error: the process ran out of memory", file=sys.stderr)
+    except (MemoryError, RecursionError) as exc:
+        resource = "memory" if isinstance(exc, MemoryError) else "recursion depth"
+        print(f"error: the process ran out of {resource}", file=sys.stderr)
         return EXIT_CAP
     except (BnmcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,10 +40,6 @@ class EnumerationCapError(CapError):
     """Exhaustive enumeration would exceed the assignment cap."""
 
 
-class BitWidthError(CapError):
-    """The binary encoding of a network needs more bits than supported."""
-
-
 class BifParseError(BnmcError):
     """Syntax or consistency error in a BIF document."""
 

@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 
 from .network import BayesianNetwork, Cpt, Variable, network_from_cpts
 from .reach import ReachQuery
+
+
+def _left_sum(values: list[float]) -> float:
+    # Left to right, as `sum` adds floats before Python 3.12, which compensates:
+    # so one seed gives the same network on every supported version.
+    return reduce(add, values, 0.0)
 
 
 def _random_row(rng: random.Random, size: int, zero_entry_prob: float) -> tuple[float, ...]:
     weights = [rng.random() + 1e-3 for _ in range(size)]
     if size > 1 and rng.random() < zero_entry_prob:
         weights[rng.randrange(size)] = 0.0
-    total = sum(weights)
+    total = _left_sum(weights)
     row = [w / total for w in weights]
     # Pin the largest entry so the row sums to exactly 1.0 in binary64.
     top = row.index(max(row))
-    row[top] = 1.0 - (sum(row) - row[top])
+    row[top] = 1.0 - (_left_sum(row) - row[top])
     return tuple(row)
 
 

@@ -18,7 +18,10 @@ Dechter 1996). Inference never reads the monolithic joint diagram,
 `SymbolicBn.joint`, which each read rebuilds from the apply memo.
 
 `compile_network` fixes a model's layout (each variable's topological
-position and bit levels); only the memo tables fill afterwards.
+position and bit levels). No cap bounds the bit count: a query costs what
+its elimination builds. Each query appends the nodes it makes to the
+model's one node store, beside its entries in the memo tables, and none of
+them is freed while the model lives.
 """
 
 from __future__ import annotations
@@ -30,12 +33,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import IO, Iterable, Mapping, Sequence
 
-from .errors import BitWidthError, IllConditionedQueryError
+from .errors import IllConditionedQueryError
 from .mtbdd import MtbddManager, NodeRef
 from .network import BayesianNetwork, ancestors, check_assignment, topological_order
 from .reach import ReachQuery, conditional
-
-MAX_TOTAL_BITS = 62
 
 
 def _width(domain_size: int) -> int:
@@ -149,11 +150,6 @@ def compile_network(bn: BayesianNetwork) -> SymbolicBn:
     """
     order = tuple(topological_order(bn))
     encoding = BitEncoding.from_network(bn, order)
-    if len(encoding.order) > MAX_TOTAL_BITS:
-        raise BitWidthError(
-            f"network needs {len(encoding.order)} bits, more than the supported "
-            f"{MAX_TOTAL_BITS}"
-        )
     mgr = MtbddManager(encoding.order)
     position = {v: i for i, v in enumerate(order)}
     cpt_refs = {v: _table_diagram(mgr, encoding, bn, v, position) for v in order}

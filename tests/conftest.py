@@ -78,6 +78,22 @@ def copy_chain_bn(n: int) -> BayesianNetwork:
     return network_from_cpts("copy", variables, cpts)
 
 
+def and_chain_bn(n: int) -> BayesianNetwork:
+    """Roots x0..x{n-1} with P(x_i = 1) = 0.9, y0 = x0 and y_i = AND(y_{i-1}, x_i).
+
+    Every root's id is below every gate's, so all roots come first in the
+    topological order; P(y{n-1} = 1) = 0.9^n.
+    """
+    roots = [Variable(id=i, name=f"x{i}", domain=("0", "1")) for i in range(n)]
+    gates = [Variable(id=n + i, name=f"y{i}", domain=("0", "1")) for i in range(n)]
+    copy = {(0,): (1.0, 0.0), (1,): (0.0, 1.0)}
+    conj = {(a, b): (0.0, 1.0) if a and b else (1.0, 0.0) for a in (0, 1) for b in (0, 1)}
+    cpts = [Cpt(owner=i, parents=(), rows={(): (0.1, 0.9)}) for i in range(n)]
+    cpts.append(Cpt(owner=n, parents=(0,), rows=copy))
+    cpts += [Cpt(owner=n + i, parents=(i, n + i - 1), rows=conj) for i in range(1, n)]
+    return network_from_cpts("and_chain", roots + gates, cpts)
+
+
 def chain_forward(bn: BayesianNetwork, first: tuple[int, ...]) -> float:
     """P(v0 in `first`, v{n-1} = 1) on a `chain_bn` by one forward pass."""
     dist = [p if v in first else 0.0 for v, p in enumerate(bn.cpts[0].rows[()])]

@@ -25,6 +25,10 @@ variable x { type discrete [ 2 ] { no, yes }; }
 probability ( x ) { table 0.5, 0.5; }
 """
 
+_VAR = "variable x { type discrete [ 2 ] { no, yes }; }\n"
+_Y = "variable y { type discrete [ 2 ] { no, yes }; }\nprobability ( x ) { table 0.5, 0.5; }\n"
+_X = "probability ( x ) { table 0.5, 0.5; }\n"
+
 
 def test_parse_fixture(student_mood):
     assert validate(student_mood) == []
@@ -177,6 +181,41 @@ def test_parse_duplicate_row():
         parse_bif(text)
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (_VAR + _VAR + _X, "variable x declared twice"),
+        (_VAR + _X + _X, "duplicate probability block for x"),
+        (
+            _VAR + _Y + "probability ( y | x ) { table 0.5, 0.5, 0.5, 0.5; (no) 0.5, 0.5; }\n",
+            "probability block y: mixes table and entry rows",
+        ),
+        (
+            _VAR + _Y + "probability ( y | x ) { table 0.5, 0.5, 0.5; }\n",
+            "probability block y: table length 3 != 4",
+        ),
+        (_VAR + _Y + "probability ( y | x ) { }\n", "probability block y: no rows"),
+        (_VAR + "probability ( x ) { }\n", "probability block x: no table row"),
+        (_VAR + _Y, "no probability block for variable y"),
+        (
+            _VAR + _Y + "probability ( y | x, x ) { table " + ", ".join(["0.5"] * 8) + "; }\n",
+            "probability block y: parent x listed twice",
+        ),
+        (
+            _VAR + _Y + "probability ( y | x, x ) { (no, no) 0.5, 0.5; (yes, yes) 0.5, 0.5; }\n",
+            "probability block y: parent x listed twice",
+        ),
+    ],
+    ids=["variable-twice", "block-twice", "table-and-entries", "table-length",
+         "no-entry-rows", "no-table", "no-block", "repeated-parent-table",
+         "repeated-parent-entries"],
+)
+def test_conversion_refusals_pinned(blocks, message):
+    with pytest.raises(BifParseError) as info:
+        parse_bif("network t { }\n" + blocks)
+    assert str(info.value) == message
+
+
 def test_parse_syntax_error_reports_position():
     with pytest.raises(BifParseError, match=r"line \d+"):
         parse_bif("network t {\nvariable x }")
@@ -195,6 +234,16 @@ def test_properties_preserved_as_metadata():
     assert doc.properties == ("author = somebody",)
     assert any("position" in p for p in doc.variables[0].properties)
     assert parse_bif(text).variables[0].name == "x"
+
+
+def test_property_in_a_probability_block_is_kept():
+    text = "network t { }\n" + _VAR + "probability ( x ) { property p = 1 ; table 0.5, 0.5; }\n"
+    assert parse_bif_document(text).probabilities[0].properties == ("p = 1",)
+    assert parse_bif(text).cpts[0].rows == {(): (0.5, 0.5)}
+
+
+def test_parse_document_from_bytes():
+    assert parse_bif_document(MINIMAL.encode("utf-8")) == parse_bif_document(MINIMAL)
 
 
 def test_declared_sizes_give_the_chain_size_bound():
@@ -217,6 +266,8 @@ def test_declared_sizes_give_the_chain_size_bound():
         lambda doc: doc.variables.append(doc.variables[0]),  # repeated name
         lambda doc: doc.probabilities.pop(),  # a variable without a block
         lambda doc: setattr(doc.probabilities[0], "parents", ("nowhere",)),
+        lambda doc: setattr(doc.probabilities[1], "parents", ("Dif", "Dif")),  # repeated
+        lambda doc: doc.probabilities.__setitem__(0, doc.probabilities[1]),  # owner twice
         lambda doc: setattr(doc.probabilities[0], "parents", ("Mood",)),  # a cycle
     ],
 )
@@ -261,10 +312,6 @@ def test_domain_count_must_be_a_whole_number(count):
 @pytest.mark.parametrize("count", ["2", "2.0"])
 def test_whole_domain_count_accepted(count):
     assert parse_bif(_with_count(count)).variables[0].domain == ("a", "b")
-
-
-_VAR = "variable x { type discrete [ 2 ] { no, yes }; }\n"
-_Y = "variable y { type discrete [ 2 ] { no, yes }; }\nprobability ( x ) { table 0.5, 0.5; }\n"
 
 
 @pytest.mark.parametrize(
@@ -333,6 +380,18 @@ _Y = "variable y { type discrete [ 2 ] { no, yes }; }\nprobability ( x ) { table
         (  # an unsupported item
             "network t { }\n" + _VAR + "probability ( x ) { tabel 0.5, 0.5; }\n",
             "line 3, col 21: probability block x: unsupported item 'tabel'",
+        ),
+        (  # a variable block with no type
+            "network t { }\nvariable x { property p; }\n",
+            "variable x: missing 'type discrete' declaration",
+        ),
+        (  # a second table in one block
+            "network t { }\n" + _VAR + "probability ( x ) { table 0.5, 0.5; table 0.5, 0.5; }\n",
+            "line 3, col 37: probability block x: duplicate table row",
+        ),
+        (  # a network header with no `{`
+            "network t\n",
+            "unexpected end of input",
         ),
     ],
 )

@@ -2,12 +2,14 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnmc.chain import (
+    MarkovChain,
     build_mc,
     check_state_cap,
     final_states,
@@ -68,6 +70,15 @@ def test_initial_state_all_dont_care(student_mood):
     assert mc.initial == 0
     assert mc.states[0] == (None, None, None, None)
     assert mc.render_state(0) == "(*,*,*,*)"
+
+
+def test_initial_state_is_not_a_field(student_mood):
+    mc = build_mc(student_mood)
+    values = {f.name: getattr(mc, f.name) for f in fields(mc)}
+    assert "initial" not in values
+    assert MarkovChain(**values) == mc
+    with pytest.raises(TypeError):
+        MarkovChain(**values, initial=5)
 
 
 def test_size_bound_formula():

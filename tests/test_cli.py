@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -221,7 +224,7 @@ def test_infer_pruned_answers_match_the_unpruned_oracle(tmp_path, capsys):
 @pytest.mark.parametrize("n, engine", [(40, "explicit"), (70, "symbolic"), (70, "oracle")])
 def test_infer_on_a_long_chain_head_ignores_the_tail(tmp_path, capsys, n, engine):
     # Unpruned, chain_bn(40) exceeds the default state cap and chain_bn(70)
-    # the symbolic bit limit and the enumeration cap; v0..v3 fit all three.
+    # the enumeration cap; v0..v3 fit both.
     from conftest import chain_bn, chain_forward
 
     path = tmp_path / "chain.bif"
@@ -232,6 +235,21 @@ def test_infer_on_a_long_chain_head_ignores_the_tail(tmp_path, capsys, n, engine
     assert code == 0, err
     head = chain_bn(4)  # the same seeded CPTs as the first four variables
     expected = chain_forward(head, (0,)) / chain_forward(head, (0, 1))
+    assert abs(float(out) - expected) <= 1e-12
+
+
+def test_infer_symbolic_on_an_1100_bit_chain(tmp_path, capsys):
+    from conftest import chain_bn, chain_forward
+
+    bn = chain_bn(1100)
+    path = tmp_path / "chain.bif"
+    path.write_text(write_bif(bn), encoding="utf-8")
+    code, out, err = run(
+        ["infer", str(path), "--ev", "v1099=1", "--hyp", "v0=0", "--engine", "symbolic"],
+        capsys,
+    )
+    assert code == 0, err
+    expected = chain_forward(bn, (0,)) / chain_forward(bn, (0, 1))
     assert abs(float(out) - expected) <= 1e-12
 
 
@@ -394,14 +412,16 @@ def test_infer_all_engines_on_children_declared_before_parents(tmp_path, capsys)
         assert float(printed["max deviation"]) <= 1e-12
 
 
-def test_infer_oracle_on_a_3000_variable_copy_chain(tmp_path, capsys):
+@pytest.mark.parametrize("engine", ["oracle", "symbolic"])
+def test_infer_oracle_on_a_3000_variable_copy_chain(tmp_path, capsys, engine):
     # v0 -> v1 -> ... -> v2999, each v_i a copy of v_{i-1}; 2998 evidence
-    # variables leave two free, so both masses nest at most two generators.
+    # variables leave two free, so both masses nest at most two generators,
+    # and the diagrams span 3000 bits.
     from conftest import copy_chain_bn
 
     path = tmp_path / "copy.bif"
     path.write_text(write_bif(copy_chain_bn(3000)), encoding="utf-8")
-    args = ["infer", str(path), "--hyp", "v2999=1", "--engine", "oracle"]
+    args = ["infer", str(path), "--hyp", "v2999=1", "--engine", engine]
     for i in range(1, 2999):
         args += ["--ev", f"v{i}=1"]
     code, out, err = run(args, capsys)
@@ -465,16 +485,46 @@ def test_block_missing_most_of_2_to_the_40_rows_exits_2(tmp_path, capsys):
         assert "missing row" in err and err.count("\n") == 1
 
 
-def test_infer_out_of_memory_exits_4(bif_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "exhausted, resource", [(MemoryError, "memory"), (RecursionError, "recursion depth")]
+)
+def test_infer_out_of_memory_exits_4(bif_path, capsys, monkeypatch, exhausted, resource):
     from bnmc import symbolic
 
     def exhaust(*args, **kwargs):
-        raise MemoryError
+        raise exhausted
 
     monkeypatch.setattr(symbolic, "infer", exhaust)
     code, out, err = run(["infer", bif_path, "--hyp", "Dif=0", "--engine", "symbolic"], capsys)
     assert code == 4 and out == ""
-    assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
+    assert err.startswith("error: ") and resource in err and err.count("\n") == 1
+
+
+def test_deep_elimination_exits_4_at_the_recursion_limit(tmp_path, capsys):
+    # The roots-first AND chain carries every root into one message, whose
+    # diagram is deeper than a lowered limit allows the recursive kernel.
+    from conftest import and_chain_bn
+
+    path = tmp_path / "and.bif"
+    path.write_text(write_bif(and_chain_bn(150)), encoding="utf-8")
+    args = ["infer", str(path), "--hyp", "y149=1", "--engine", "symbolic"]
+    code, out, err = run(args, capsys)
+    assert code == 0, err
+    assert abs(float(out) - 0.9**150) <= 1e-12 * 0.9**150
+    script = (
+        "import sys; from bnmc.cli import main; sys.setrecursionlimit(150); "
+        f"sys.exit(main({args!r}))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 4 and done.stdout == ""
+    assert done.stderr == "error: the process ran out of recursion depth\n"
 
 
 def test_infer_empty_query_is_one_on_every_engine(tmp_path, bif_path, capsys):
@@ -543,7 +593,10 @@ def test_negative_state_cap_flag_exits_2(bif_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["[" * 200_000 + "]" * 200_000, '{"state_cap": 5, "x": ' + "[" * 5000 + "]" * 5000 + "}"],
+    [
+        "[" * 200_000 + "]" * 200_000,
+        '{"state_cap": 5, "x": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    ],
     ids=["top-level", "inside-object"],
 )
 def test_infer_rejects_deeply_nested_config(tmp_path, bif_path, capsys, text):
@@ -607,6 +660,81 @@ def test_bench_human_output_without_csv(bif_path, capsys):
     assert code == 0
     assert "strategy=last" in out
     assert "," not in out.splitlines()[0]
+
+
+def test_bench_csv_to_a_file(bif_path, tmp_path, capsys):
+    out_path = tmp_path / "bench.csv"
+    args = ["bench", bif_path, "--counts", "1", "--seed", "5", "--csv", str(out_path)]
+    code, out, _ = run(args, capsys)
+    assert (code, out) == (0, "")
+    rows = list(csv.reader(io.StringIO(out_path.read_text("utf-8"))))
+    assert rows[0] == [
+        "network", "strategy", "evidence_count", "seed", "query_time_ns", "result",
+        "ill_conditioned",
+    ]
+    assert len(rows) == 2
+    assert rows[1][:4] + rows[1][5:] == [
+        "student_mood", "first", "1", "5", "0.39749999999999996", "false"
+    ]
+
+
+def _partition_failure(tmp_path):
+    vtree = tmp_path / "pair.vtree"
+    vtree.write_text("L 0 x\nL 2 y\nI 1 0 2\n", encoding="utf-8")
+    bad = tmp_path / "bad.psdd"
+    bad.write_text("L 0 0 x\nT 2 2 0.5\nD 3 1 1 0 2 1.0\n", encoding="utf-8")
+    return ["psdd-eval", str(vtree), str(bad)]
+
+
+def _repeated_parent(tmp_path, command):
+    path = tmp_path / "repeated.bif"
+    path.write_text(
+        "network t { }\n"
+        "variable x { type discrete [ 2 ] { no, yes }; }\n"
+        "variable y { type discrete [ 2 ] { no, yes }; }\n"
+        "probability ( x ) { table 0.5, 0.5; }\n"
+        "probability ( y | x, x ) { (no, no) 0.5, 0.5; (no, yes) 0.5, 0.5; }\n",
+        encoding="utf-8",
+    )
+    return [*command, str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_args, message",
+    [
+        (
+            lambda bif, psdd, tmp: ["infer", bif, "--ev", "Dif=maybe"],
+            "value 'maybe' not in the domain of Dif ['0', '1']",
+        ),
+        (
+            lambda bif, psdd, tmp: ["bench", bif, "--counts", "-1"],
+            "counts must be nonnegative",
+        ),
+        (
+            lambda bif, psdd, tmp: _partition_failure(tmp),
+            "partition property fails at decision nodes [3]",
+        ),
+        (
+            lambda bif, psdd, tmp: ["psdd-eval", *psdd, "--hyp", "Q=1"],
+            "unknown PSDD variable 'Q'",
+        ),
+        (
+            lambda bif, psdd, tmp: _repeated_parent(tmp, ["stats"]),
+            "probability block y: parent x listed twice",
+        ),
+        (
+            lambda bif, psdd, tmp: _repeated_parent(tmp, ["translate", "--format", "dot"]),
+            "probability block y: parent x listed twice",
+        ),
+    ],
+    ids=["value-not-in-domain", "negative-count", "partition-fails", "unknown-psdd-variable",
+         "repeated-parent-stats", "repeated-parent-translate"],
+)
+def test_input_refusals_exit_2_with_one_line(
+    bif_path, psdd_paths, tmp_path, capsys, make_args, message
+):
+    code, out, err = run(make_args(bif_path, psdd_paths, tmp_path), capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_psdd_eval_quoted_term(psdd_paths, capsys):

@@ -127,6 +127,28 @@ def test_node_rejects_invalid_child_reference(make_bad):
         mgr.node("z0", t, bad)
 
 
+def _inner(mgr: MtbddManager) -> int:
+    return mgr.node("z1", mgr.terminal(0.25), mgr.terminal(0.75))
+
+
+@pytest.mark.parametrize(
+    "misuse, message",
+    [
+        (lambda mgr: MtbddManager(("a", "b", "a")), "variable labels must be unique"),
+        (lambda mgr: mgr.cofactors(mgr.terminal(0.5)), r"node \d+ is a terminal"),
+        (lambda mgr: mgr.terminal_value(_inner(mgr)), r"node \d+ is not a terminal"),
+        (
+            lambda mgr: mgr.evaluate(_inner(mgr), {"z0": 0, "z1": 2, "z2": 0, "z3": 0}),
+            "evaluation values must be 0 or 1, got 2",
+        ),
+    ],
+    ids=["duplicate-labels", "cofactors-of-terminal", "value-of-inner", "bit-of-2"],
+)
+def test_manager_refuses_misuse(misuse, message):
+    with pytest.raises(ValueError, match=message):
+        misuse(MtbddManager(VARS4))
+
+
 def test_node_unknown_variable():
     mgr = MtbddManager(VARS4)
     with pytest.raises(ValueError, match="unknown"):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -116,6 +117,58 @@ def test_validate_reports_malformed_parents_without_raising(parents, message):
         rows = {key: (0.5, 0.5) for key in product(range(2), repeat=len(ps))}
         cpts.append(Cpt(owner=i, parents=ps, rows=rows))
     assert validate(network_from_cpts("x", variables, cpts)) == [message]
+
+
+def _three_binaries() -> BayesianNetwork:
+    variables = tuple(Variable(id=i, name=f"v{i}", domain=("0", "1")) for i in range(3))
+    cpts = (
+        Cpt(owner=0, parents=(), rows={(): (0.5, 0.5)}),
+        Cpt(owner=1, parents=(0,), rows={(0,): (0.5, 0.5), (1,): (0.2, 0.8)}),
+        Cpt(owner=2, parents=(), rows={(): (0.5, 0.5)}),
+    )
+    return BayesianNetwork(name="x", variables=variables, cpts=cpts)
+
+
+def _with_v2(bn: BayesianNetwork, **changes) -> BayesianNetwork:
+    return replace(bn, variables=(*bn.variables[:2], replace(bn.variables[2], **changes)))
+
+
+@pytest.mark.parametrize(
+    "edit, messages",
+    [
+        (lambda bn: _with_v2(bn, id=5), ["variable ids must be dense 0..2, got [0, 1, 5]"]),
+        (
+            lambda bn: replace(
+                _with_v2(bn, domain=()),
+                cpts=(*bn.cpts[:2], Cpt(owner=2, parents=(), rows={(): ()})),
+            ),
+            ["variable v2: empty domain", "variable v2, row (): probabilities sum to 0"],
+        ),
+        (lambda bn: _with_v2(bn, domain=("a", "a")), ["variable v2: duplicate domain labels"]),
+        (lambda bn: _with_v2(bn, name="v0"), ["duplicate variable names"]),
+        (lambda bn: replace(bn, cpts=bn.cpts[:2]), ["expected 3 CPTs, got 2"]),
+        (
+            lambda bn: replace(bn, cpts=(bn.cpts[1], bn.cpts[0], bn.cpts[2])),
+            ["CPTs must be ordered by owner id, exactly one per variable"],
+        ),
+        (
+            lambda bn: replace(
+                bn,
+                cpts=(
+                    bn.cpts[0],
+                    Cpt(owner=1, parents=(0,), rows={(0,): (0.5, 0.5), (1,): (0.2, 0.3, 0.5)}),
+                    bn.cpts[2],
+                ),
+            ),
+            ["variable v1, row (1,): 3 entries for domain size 2"],
+        ),
+    ],
+    ids=["sparse-ids", "empty-domain", "duplicate-labels", "duplicate-names",
+         "cpt-count", "cpt-order", "row-width"],
+)
+def test_validate_reports_networks_built_in_code(edit, messages):
+    assert validate(_three_binaries()) == []
+    assert validate(edit(_three_binaries())) == messages
 
 
 def test_topological_order_fixture(student_mood):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from bnmc.bif import document_to_network, parse_bif_document, write_bif
-from bnmc.errors import BitWidthError, IllConditionedQueryError
+from bnmc.errors import IllConditionedQueryError
 from bnmc.gen import random_network, random_query
 from bnmc.network import (
     Cpt,
@@ -320,12 +320,44 @@ def test_manager_freed_without_cycle_collector(student_mood):
         gc.enable()
 
 
-def test_bit_budget_overflow():
+def test_63_bit_network_compiles_and_answers():
     variables = [Variable(id=i, name=f"v{i}", domain=("0", "1")) for i in range(63)]
     cpts = [Cpt(owner=i, parents=(), rows={(): (0.5, 0.5)}) for i in range(63)]
-    bn = network_from_cpts("wide", variables, cpts)
-    with pytest.raises(BitWidthError):
-        compile_network(bn)
+    sym = compile_network(network_from_cpts("wide", variables, cpts))
+    assert len(sym.encoding.order) == 63
+    assert infer(sym, ReachQuery(evidence={62: 0}, hypothesis={0: 1})) == 0.5
+
+
+def test_matches_oracle_on_networks_wider_than_62_bits():
+    # All but a few variables bound, so the oracle enumerates only the free
+    # ones while the diagrams span every bit.
+    rng = random.Random(1862)
+    widths, ill = [], 0
+    for _ in range(10):
+        bn = random_network(
+            rng, n_vars=70, min_domain=2, max_domain=3, edge_prob=0.05,
+            zero_entry_prob=0.01,
+        )
+        sym = compile_network(bn)
+        widths.append(len(sym.encoding.order))
+        for _ in range(3):
+            ids = list(range(70))
+            rng.shuffle(ids)
+            bound = {i: rng.randrange(len(bn.variables[i].domain)) for i in ids[4:]}
+            hyp = set(ids[4 : 4 + rng.randint(1, 2)])
+            q = ReachQuery(
+                evidence={i: d for i, d in bound.items() if i not in hyp},
+                hypothesis={i: d for i, d in bound.items() if i in hyp},
+            )
+            try:
+                expected = oracle_infer(bn, q)
+            except IllConditionedQueryError:
+                ill += 1
+                with pytest.raises(IllConditionedQueryError):
+                    infer(sym, q)
+                continue
+            assert abs(infer(sym, q) - expected) <= 1e-12
+    assert min(widths) > 62 and 0 < ill < 30
 
 
 # -- evidence-strategy bench -------------------------------------------------------
