@@ -18,14 +18,15 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice, product
 from math import prod
+from typing import Iterator
 
-from .errors import BifParseError
+from .errors import BifParseError, CycleError
 from .network import (
     BayesianNetwork,
     Cpt,
     Variable,
-    kahn_order,
     network_from_cpts,
+    topological_order,
     validate,
 )
 
@@ -37,6 +38,8 @@ _SCAN = re.compile(
     r"\s+|//[^\n]*|/\*.*?\*/|(/\*.*|[{}()\[\]|,;]|[^\s{}()\[\]|,;]+)", re.S
 )
 _PUNCTUATION = "{}()[]|,;"
+# A name or label that reads back as itself: one token, which no comment starts.
+_WORD = re.compile(r"(?!//|/\*)[^\s{}()\[\]|,;]+")
 
 
 @dataclass
@@ -310,43 +313,64 @@ def parse_bif_document(text: str | bytes) -> BifDocument:
     return _Parser(text).document()
 
 
-def document_to_network(doc: BifDocument) -> BayesianNetwork:
+def _resolve(doc: BifDocument) -> tuple[list[Variable], list[dict[str, int]], Iterator]:
+    """The structure of a document: its variables by id, each one's label ->
+    value index, and its probability blocks, each with its owner and its
+    parents in declared order.
+
+    The blocks are resolved one at a time, as they are taken, so a caller
+    that converts each block's rows before taking the next meets every
+    refusal in document order: a variable declared twice at once, an
+    undeclared or repeated name and a second block for one owner at their
+    block, and a variable with no block when the blocks run out.
+    """
     by_name: dict[str, Variable] = {}
-    variables = []
-    # Per variable id, label -> value index. A repeated label keeps its first
-    # index: validate refuses such a domain, but a row error may come first.
+    # A repeated label keeps its first index: validate refuses such a domain,
+    # but a row error may come first.
     label_index: list[dict[str, int]] = []
     for i, block in enumerate(doc.variables):
         if block.name in by_name:
             raise BifParseError(f"variable {block.name} declared twice")
-        var = Variable(id=i, name=block.name, domain=block.values)
-        by_name[block.name] = var
-        variables.append(var)
+        by_name[block.name] = Variable(id=i, name=block.name, domain=block.values)
         label_index.append({})
         for k, label in enumerate(block.values):
             label_index[i].setdefault(label, k)
+    variables = list(by_name.values())
 
-    cpts: dict[int, Cpt] = {}
-    for block in doc.probabilities:
-        if block.owner not in by_name:
-            raise BifParseError(
-                f"probability block references undeclared variable {block.owner!r}"
-            )
-        owner = by_name[block.owner]
-        declared_parents = []
-        for k, p in enumerate(block.parents):
-            if p not in by_name:
+    def blocks() -> Iterator[tuple[ProbabilityBlock, Variable, list[Variable]]]:
+        owners: set[int] = set()
+        for block in doc.probabilities:
+            if block.owner not in by_name:
                 raise BifParseError(
-                    f"probability block {block.owner}: undeclared parent {p!r}"
+                    f"probability block references undeclared variable {block.owner!r}"
                 )
-            if p in block.parents[:k]:
-                raise BifParseError(
-                    f"probability block {block.owner}: parent {p} listed twice"
-                )
-            declared_parents.append(by_name[p])
-        if owner.id in cpts:
-            raise BifParseError(f"duplicate probability block for {block.owner}")
+            owner = by_name[block.owner]
+            declared_parents = []
+            for k, p in enumerate(block.parents):
+                if p not in by_name:
+                    raise BifParseError(
+                        f"probability block {block.owner}: undeclared parent {p!r}"
+                    )
+                if p in block.parents[:k]:
+                    raise BifParseError(
+                        f"probability block {block.owner}: parent {p} listed twice"
+                    )
+                declared_parents.append(by_name[p])
+            if owner.id in owners:
+                raise BifParseError(f"duplicate probability block for {block.owner}")
+            owners.add(owner.id)
+            yield block, owner, declared_parents
+        for var in variables:
+            if var.id not in owners:
+                raise BifParseError(f"no probability block for variable {var.name}")
 
+    return variables, label_index, blocks()
+
+
+def document_to_network(doc: BifDocument) -> BayesianNetwork:
+    variables, label_index, blocks = _resolve(doc)
+    cpts = []
+    for block, owner, declared_parents in blocks:
         canonical = sorted(declared_parents, key=lambda v: v.id)
         reorder = [declared_parents.index(v) for v in canonical]
         rows: dict[tuple[int, ...], tuple[float, ...]] = {}
@@ -420,42 +444,32 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
                 f"probability block {block.owner}: missing row for parents "
                 f"{tuple(v.name for v in canonical)} = {key}"
             )
-        cpts[owner.id] = Cpt(
-            owner=owner.id, parents=tuple(v.id for v in canonical), rows=rows
+        cpts.append(
+            Cpt(owner=owner.id, parents=tuple(v.id for v in canonical), rows=rows)
         )
-
-    for var in variables:
-        if var.id not in cpts:
-            raise BifParseError(f"no probability block for variable {var.name}")
-    return network_from_cpts(doc.name, variables, [cpts[i] for i in range(len(variables))])
+    return network_from_cpts(doc.name, variables, cpts)
 
 
 def declared_sizes(doc: BifDocument) -> list[int] | None:
     """Domain sizes in the network's topological order, read from the variable
     blocks and parent lists alone, with no table converted.
 
-    The order is the one `network.topological_order` gives the converted
-    network: Kahn's, ties broken by declaration index. None when the blocks
-    declare no such order: an undeclared or repeated name, a variable without
-    exactly one probability block, or a cycle.
+    The structure is resolved as `document_to_network` resolves it and
+    ordered by `network.topological_order`, so the order is the converted
+    network's. None when the conversion refuses the structure (an undeclared
+    or repeated name, a variable without exactly one probability block) or
+    it has a cycle.
     """
-    index = {block.name: i for i, block in enumerate(doc.variables)}
-    if len(index) != len(doc.variables) or len(doc.probabilities) != len(index):
+    try:
+        variables, _, blocks = _resolve(doc)
+        cpts = [
+            Cpt(owner=owner.id, parents=tuple(sorted(p.id for p in parents)), rows={})
+            for _, owner, parents in blocks
+        ]
+        order = topological_order(network_from_cpts(doc.name, variables, cpts))
+    except (BifParseError, CycleError):
         return None
-    owners: set[str] = set()
-    parents: list[list[int]] = [[] for _ in index]
-    for block in doc.probabilities:
-        names = (block.owner, *block.parents)
-        if block.owner in owners or len(set(names)) != len(names):
-            return None
-        if any(name not in index for name in names):
-            return None
-        owners.add(block.owner)
-        parents[index[block.owner]] = [index[p] for p in block.parents]
-    order = kahn_order(parents)
-    if len(order) != len(index):
-        return None
-    return [len(doc.variables[v].values) for v in order]
+    return [len(variables[v].domain) for v in order]
 
 
 def validated_network(doc: BifDocument) -> BayesianNetwork:
@@ -478,7 +492,21 @@ def _fmt(p: float) -> str:
 
 
 def write_bif(bn: BayesianNetwork) -> str:
-    """Serialize so that parse_bif(write_bif(bn)) is structurally equal to bn."""
+    """Serialize so that parse_bif(write_bif(bn)) is structurally equal to bn.
+
+    Raises ValueError for a name or label that BIF text cannot carry. Each
+    variable name and label must be one word: no whitespace, none of
+    `{}()[]|,;`, and no `//` or `/*` at its start. The network name may be
+    several words, separated by single spaces.
+    """
+    if not all(map(_WORD.fullmatch, bn.name.split(" "))):
+        raise ValueError(f"network name {bn.name!r} is not words separated by single spaces")
+    for v in bn.variables:
+        if not _WORD.fullmatch(v.name):
+            raise ValueError(f"variable name {v.name!r} is not one BIF word")
+        for label in v.domain:
+            if not _WORD.fullmatch(label):
+                raise ValueError(f"variable {v.name}: label {label!r} is not one BIF word")
     lines = [f"network {bn.name} {{", "}"]
     for v in bn.variables:
         lines.append(f"variable {v.name} {{")

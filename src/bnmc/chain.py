@@ -59,9 +59,6 @@ class MarkovChain:
 
     __hash__ = None
 
-    def position_of(self, var_id: int) -> int:
-        return self.position[var_id]
-
     def successors(self, state_index: int) -> tuple[tuple[float, int], ...]:
         """The `(p, target)` edges of a state; a final state loops on itself."""
         if state_index >= len(self.first_child):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import CycleError, MalformedQueryError
 
@@ -172,13 +172,9 @@ def validate(bn: BayesianNetwork) -> list[str]:
     return out
 
 
-def kahn_order(parents: Sequence[Sequence[int]]) -> list[int]:
-    """Kahn's algorithm over ids 0..n-1, where `parents[v]` holds the parent
-    ids of v; ties broken by ascending id.
-
-    On a cyclic structure the order is short: it misses every id on a cycle
-    and every descendant of one.
-    """
+def topological_order(bn: BayesianNetwork) -> list[int]:
+    """Kahn's algorithm; ties broken by ascending variable id."""
+    parents = [cpt.parents for cpt in bn.cpts]
     indegree = [len(ps) for ps in parents]
     children: list[list[int]] = [[] for _ in parents]
     for c, ps in enumerate(parents):
@@ -193,14 +189,8 @@ def kahn_order(parents: Sequence[Sequence[int]]) -> list[int]:
             indegree[c] -= 1
             if indegree[c] == 0:
                 heapq.heappush(ready, c)
-    return order
-
-
-def topological_order(bn: BayesianNetwork) -> list[int]:
-    """Kahn's algorithm; ties broken by ascending variable id."""
-    parents = [cpt.parents for cpt in bn.cpts]
-    order = kahn_order(parents)
     if len(order) != len(parents):
+        # Every id on a cycle, and every descendant of one, is left out.
         stuck = set(range(len(parents))) - set(order)
         child = min(stuck)
         raise CycleError(min(p for p in parents[child] if p in stuck), child)

@@ -173,33 +173,6 @@ class Psdd:
         return len(seen)
 
 
-@dataclass(frozen=True)
-class StructureFlags:
-    """Diagnosed canonical-form properties; evaluation does not require them."""
-
-    compressed: bool
-    trimmed: bool
-
-
-def structure_flags(p: Psdd) -> StructureFlags:
-    compressed = True
-    trimmed = True
-    for node in p.nodes.values():
-        if node.kind != DECISION:
-            continue
-        subs = [sub for _, sub, _ in node.elements]
-        if len(set(subs)) != len(subs):
-            compressed = False
-        primes = [p.nodes[pr] for pr, _, _ in node.elements]
-        if len(node.elements) == 1 and primes[0].kind == TOP:
-            trimmed = False
-        if len(node.elements) == 2:
-            sub_kinds = sorted(p.nodes[s].kind for _, s, _ in node.elements)
-            if sub_kinds == sorted((TOP, BOTTOM)):
-                trimmed = False
-    return StructureFlags(compressed=compressed, trimmed=trimmed)
-
-
 def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
     """Load and validate a vtree/PSDD file pair."""
     vtree = parse_vtree(vtree_text)

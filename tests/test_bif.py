@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bnmc import fixtures
 from bnmc.bif import (
+    _PUNCTUATION,
     _SCAN,
     _Parser,
     declared_sizes,
@@ -17,7 +19,7 @@ from bnmc.bif import (
 )
 from bnmc.errors import BifParseError
 from bnmc.gen import random_network
-from bnmc.network import validate
+from bnmc.network import Cpt, Variable, network_from_cpts, validate
 
 MINIMAL = """
 network tiny { }
@@ -294,6 +296,103 @@ def test_roundtrip_random_networks(seed):
     assert parse_bif(write_bif(bn)) == bn
 
 
+def _one_variable(name="t", variable="x", labels=("no", "yes")):
+    row = (1.0,) + (0.0,) * (len(labels) - 1)
+    return network_from_cpts(name, [Variable(0, variable, labels)], [Cpt(0, (), {(): row})])
+
+
+@pytest.mark.parametrize(
+    "bn, message",
+    [
+        (_one_variable(variable="a b"), "variable name 'a b' is not one BIF word"),
+        (_one_variable(variable="x;y"), "variable name 'x;y' is not one BIF word"),
+        (_one_variable(variable=""), "variable name '' is not one BIF word"),
+        (_one_variable(labels=("a,b", "c")), "variable x: label 'a,b' is not one BIF word"),
+        (_one_variable(labels=("", "c")), "variable x: label '' is not one BIF word"),
+        (_one_variable(labels=("c", "//c")), "variable x: label '//c' is not one BIF word"),
+        (_one_variable(labels=("/*c",)), "variable x: label '/*c' is not one BIF word"),
+        (_one_variable(name=""), "network name '' is not words separated by single spaces"),
+        (_one_variable(name="a  b"), "network name 'a  b' is not words separated by single spaces"),
+        (_one_variable(name="a\tb"), "network name 'a\\tb' is not words separated by single spaces"),
+        (_one_variable(name=" a"), "network name ' a' is not words separated by single spaces"),
+    ],
+)
+def test_write_bif_refuses_what_it_cannot_read_back(bn, message):
+    with pytest.raises(ValueError) as info:
+        write_bif(bn)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "bn",
+    [
+        _one_variable(name="a network of words"),
+        _one_variable(name="network variable table"),
+        _one_variable(variable="a//b", labels=("a/*", "*/")),
+        _one_variable(variable="probability", labels=("table", "property", "1e5")),
+    ],
+)
+def test_write_bif_round_trips_odd_words(bn):
+    assert parse_bif(write_bif(bn)) == bn
+
+
+# Words that BIF text carries, keywords among them, and names joined from
+# them, whitespace, punctuation and comment starts.
+_WORDS = st.sampled_from(
+    ["a", "b", "a/b", "*/", "network", "variable", "probability", "type", "discrete",
+     "table", "property"]
+)
+_NAME = st.lists(
+    st.one_of(_WORDS, st.sampled_from([" ", "\t", "\n", "\x1c", *"{}()[]|,;/*"])),
+    max_size=4,
+).map("".join)
+
+
+@st.composite
+def _odd_networks(draw):
+    # Half the networks use words alone, so that many are written.
+    name = draw(st.sampled_from([_WORDS, _NAME]))
+    names = draw(st.lists(name, min_size=1, max_size=3, unique=True))
+    variables = [
+        Variable(i, v, tuple(draw(st.lists(name, min_size=1, max_size=3, unique=True))))
+        for i, v in enumerate(names)
+    ]
+    cpts = []
+    for v in variables:
+        parents = tuple(p for p in range(v.id) if draw(st.booleans()))
+        row = tuple(1.0 / len(v.domain) for _ in v.domain)
+        keys = product(*(range(len(variables[p].domain)) for p in parents))
+        cpts.append(Cpt(v.id, parents, {key: row for key in keys}))
+    return network_from_cpts(draw(st.one_of(_WORDS, _NAME)), variables, cpts)
+
+
+def _is_word(word: str) -> bool:
+    """Whether `word` is read as one token, not punctuation, between two others."""
+    try:
+        tokens = _Parser(f"x {word} x").tokens
+    except BifParseError:
+        return False
+    return tokens == ["x", word, "x"] and word not in _PUNCTUATION
+
+
+@settings(max_examples=300, deadline=None)
+@given(bn=_odd_networks())
+def test_write_bif_round_trips_or_refuses(bn):
+    try:
+        text = write_bif(bn)
+    except ValueError as exc:
+        # A network name is refused unless it is words separated by single
+        # spaces, and a variable name or label unless it is one word.
+        refused = [
+            (bn.name, all(map(_is_word, bn.name.split(" ")))),
+            *((word, _is_word(word)) for v in bn.variables for word in (v.name, *v.domain)),
+        ]
+        assert any(repr(word) in str(exc) and not ok for word, ok in refused)
+    else:
+        assert validate(bn) == []
+        assert parse_bif(text) == bn
+
+
 def _with_count(count: str) -> str:
     return (
         "network t { }\n"
@@ -380,6 +479,10 @@ def test_whole_domain_count_accepted(count):
         (  # an unsupported item
             "network t { }\n" + _VAR + "probability ( x ) { tabel 0.5, 0.5; }\n",
             "line 3, col 21: probability block x: unsupported item 'tabel'",
+        ),
+        (  # a count that is not a number, read token by token
+            "network t { }\nvariable x { type discrete [ two ] { no, yes }; }\n",
+            "line 2, col 30: expected a number, got 'two'",
         ),
         (  # a variable block with no type
             "network t { }\nvariable x { property p; }\n",

@@ -678,6 +678,19 @@ def test_bench_csv_to_a_file(bif_path, tmp_path, capsys):
     ]
 
 
+def test_bench_zero_probability_evidence_is_an_ill_conditioned_row(tmp_path, capsys):
+    from conftest import copy_chain_bn
+
+    # Seed 4 binds v0 and v1 of the copy chain to different values.
+    path = tmp_path / "copy.bif"
+    path.write_text(write_bif(copy_chain_bn(4)), encoding="utf-8")
+    args = ["bench", str(path), "--strategy", "first", "--counts", "2", "--seed", "4", "--csv", "-"]
+    code, out, _ = run(args, capsys)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and len(rows) == 2
+    assert rows[1][:4] + rows[1][5:] == ["copy", "first", "2", "4", "", "true"]
+
+
 def _partition_failure(tmp_path):
     vtree = tmp_path / "pair.vtree"
     vtree.write_text("L 0 x\nL 2 y\nI 1 0 2\n", encoding="utf-8")
@@ -719,6 +732,10 @@ def _repeated_parent(tmp_path, command):
             "unknown PSDD variable 'Q'",
         ),
         (
+            lambda bif, psdd, tmp: ["psdd-eval", *psdd, "--hyp", "Dif=maybe"],
+            "PSDD values must be boolean, got 'maybe'",
+        ),
+        (
             lambda bif, psdd, tmp: _repeated_parent(tmp, ["stats"]),
             "probability block y: parent x listed twice",
         ),
@@ -728,7 +745,7 @@ def _repeated_parent(tmp_path, command):
         ),
     ],
     ids=["value-not-in-domain", "negative-count", "partition-fails", "unknown-psdd-variable",
-         "repeated-parent-stats", "repeated-parent-translate"],
+         "non-boolean-psdd-value", "repeated-parent-stats", "repeated-parent-translate"],
 )
 def test_input_refusals_exit_2_with_one_line(
     bif_path, psdd_paths, tmp_path, capsys, make_args, message

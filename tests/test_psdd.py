@@ -5,14 +5,15 @@ from itertools import product
 import pytest
 
 from bnmc import fixtures
-from bnmc.errors import MalformedQueryError, PsddError, PsddParseError
+from bnmc.errors import EnumerationCapError, MalformedQueryError, PsddError, PsddParseError
+from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.psdd import (
+    PartitionVerdict,
     compare_with_bn,
     parse_psdd,
     parse_vtree,
     prob_assignment,
     prob_term,
-    structure_flags,
     validate_partition,
 )
 from bnmc.symbolic import compile_network
@@ -125,6 +126,31 @@ def test_parse_accepts_zero_theta_with_bottom_sub():
     assert prob_assignment(p, {"x": 0, "y": 1}) == 0.0
 
 
+@pytest.mark.parametrize(
+    "vtree_text, psdd_text, message",
+    [
+        ("c no nodes\n", "L 0 0 x\n", "empty vtree"),
+        ("L 0 x\nI 1 0 0\n", "L 0 0 x\n", "vtree node referenced by more than one parent"),
+        (PAIR_VTREE, "L 0 7 x\n", "psdd line 1: unknown vtree id 7"),
+        (PAIR_VTREE, "B 0 1\n", "psdd line 1: bottom terminal must sit at a vtree leaf"),
+        (
+            PAIR_VTREE,
+            "T 0 1 0.5\n",
+            "psdd line 1: parameterized terminal must sit at a vtree leaf",
+        ),
+        (PAIR_VTREE, "L 0 0 x\nL 0 0 !x\n", "psdd line 2: duplicate node id 0"),
+        (PAIR_VTREE, "c no nodes\n", "empty psdd"),
+        (PAIR_VTREE, "L 0 0 x\n", "root node 0 respects vtree node 0, not the vtree root 1"),
+    ],
+    ids=["empty-vtree", "shared-vtree-child", "unknown-vtree-id", "bottom-above-leaf",
+         "terminal-above-leaf", "duplicate-node", "empty-psdd", "root-below-vtree-root"],
+)
+def test_parse_refusals_pinned(vtree_text, psdd_text, message):
+    with pytest.raises(PsddParseError) as info:
+        parse_psdd(vtree_text, psdd_text)
+    assert str(info.value) == message
+
+
 def test_vtree_rejects_duplicate_labels():
     with pytest.raises(PsddParseError, match="unique"):
         parse_vtree("L 0 x\nL 2 x\nI 1 0 2\n")
@@ -169,6 +195,55 @@ def test_validate_partition_missing_negation():
     verdict = report.verdicts[0]
     assert verdict.exclusive
     assert not verdict.exhaustive
+
+
+# The root's left child is internal, so the root's primes are decision nodes
+# over a and b, whose own elements hold literals, true and false terminals.
+NESTED_VTREE = "L 0 a\nL 2 b\nI 1 0 2\nL 4 c\nI 3 1 4\n"
+NESTED_NODES = """
+L 0 0 a
+L 1 0 !a
+T 2 2 0.5
+B 3 2
+D 4 1 2 0 2 1.0 1 3 0.0
+D 5 1 2 0 3 0.0 1 2 1.0
+T 6 4 0.3
+T 7 0 0.5
+D 8 1 1 7 2 1.0
+"""
+# Each decision node's primes as functions of (a, b, c): node 4 is a, node 5
+# is not a, node 8 is true.
+_A, _NOT_A = (lambda a, b, c: a), (lambda a, b, c: not a)
+NESTED_PRIMES = {4: [_A, _NOT_A], 5: [_A, _NOT_A], 8: [lambda a, b, c: True]}
+
+
+@pytest.mark.parametrize(
+    "root, root_primes, ok",
+    [
+        ("D 9 3 2 4 6 0.5 5 6 0.5\n", [_A, _NOT_A], True),
+        ("D 9 3 2 4 6 0.5 8 6 0.5\n", [_A, lambda a, b, c: True], False),  # overlap
+    ],
+    ids=["partition", "overlap"],
+)
+def test_validate_partition_of_decision_primes_matches_brute_force(root, root_primes, ok):
+    report = validate_partition(parse_psdd(NESTED_VTREE, NESTED_NODES + root))
+    primes = {**NESTED_PRIMES, 9: root_primes}
+    expected = []
+    for node_id in sorted(primes):
+        hits = [
+            [j for j, prime in enumerate(primes[node_id]) if prime(*bits)]
+            for bits in product((0, 1), repeat=3)
+        ]
+        expected.append(
+            PartitionVerdict(
+                node_id=node_id,
+                consistent=all(any(j in h for h in hits) for j in range(len(primes[node_id]))),
+                exclusive=all(len(h) <= 1 for h in hits),
+                exhaustive=all(hits),
+            )
+        )
+    assert list(report.verdicts) == expected
+    assert report.ok == ok
 
 
 def test_prob_assignment_quoted_value(student_mood_psdd):
@@ -283,10 +358,67 @@ def test_compare_with_bn_requires_complete_mapping(student_mood, student_mood_ps
         compare_with_bn(student_mood_psdd, sym, {0: "Dif"})
 
 
-def test_structure_flags_fixture(student_mood_psdd):
-    flags = structure_flags(student_mood_psdd)
-    assert flags.compressed
-    assert flags.trimmed
+def _split_on_x0(n: int):
+    """A right-linear vtree over x0..x{n-1}, n >= 2, and a PSDD whose root
+    splits on x0 above a terminal of x{n-1}."""
+    vtree = [f"L {2 * n - 2} x{n - 1}"]
+    for i in range(n - 1):
+        vtree += [f"L {2 * i + 1} x{i}", f"I {2 * i} {2 * i + 1} {2 * i + 2}"]
+    psdd = f"L 0 1 x0\nL 1 1 !x0\nT 2 {2 * n - 2} 0.5\nD 3 0 2 0 2 0.5 1 2 0.5\n"
+    return parse_psdd("\n".join(vtree), psdd)
+
+
+def _uniform_sym(n: int, size: int = 2):
+    """A compiled network of n independent uniform variables x0..x{n-1}."""
+    variables = [Variable(i, f"x{i}", tuple(map(str, range(size)))) for i in range(n)]
+    cpts = [Cpt(i, (), {(): (1.0 / size,) * size}) for i in range(n)]
+    return compile_network(network_from_cpts("uniform", variables, cpts))
+
+
+@pytest.mark.parametrize(
+    "evaluate, error, message",
+    [
+        (
+            lambda p: prob_term(p, {"Prep": 2}),
+            MalformedQueryError,
+            "Prep must be bound to 0 or 1, got 2",
+        ),
+        (
+            lambda p: prob_assignment(
+                parse_psdd(PAIR_VTREE, "L 0 0 x\nT 2 2 0.5\nD 3 1 2 0 2 0.5 0 2 0.5\n"),
+                {"x": 1, "y": 0},
+            ),
+            PsddError,
+            "multiple primes of decision node 3 are satisfied; "
+            "the primes do not form a partition",
+        ),
+        (
+            lambda p: compare_with_bn(
+                parse_psdd("L 0 x0\n", "T 0 0 0.5\n"), _uniform_sym(1, size=3), {0: "x0"}
+            ),
+            MalformedQueryError,
+            "variable x0 is not binary; no PSDD correspondence",
+        ),
+        (
+            lambda p: compare_with_bn(_split_on_x0(2), _uniform_sym(1), {0: "x0"}),
+            MalformedQueryError,
+            "mapping must cover exactly the PSDD variables",
+        ),
+        (
+            lambda p: compare_with_bn(
+                _split_on_x0(21), _uniform_sym(21), {i: f"x{i}" for i in range(21)}
+            ),
+            EnumerationCapError,
+            "21 variables exceed the comparison limit",
+        ),
+    ],
+    ids=["term-bit-2", "two-primes-hold", "non-binary", "mapping-misses-psdd-variable",
+         "over-20-variables"],
+)
+def test_evaluation_refusals_pinned(student_mood_psdd, evaluate, error, message):
+    with pytest.raises(error) as info:
+        evaluate(student_mood_psdd)
+    assert str(info.value) == message
 
 
 def test_validate_partition_enumeration_cap(student_mood_psdd):

@@ -27,7 +27,7 @@ def scanned_goal(mc, binding):
         idx
         for idx, state in enumerate(mc.states)
         if mc.is_final(idx)
-        and all(state[mc.position_of(v)] == d for v, d in binding.items())
+        and all(state[mc.position[v]] == d for v, d in binding.items())
     }
 
 
