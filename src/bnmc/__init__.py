@@ -1,7 +1,8 @@
 """Exact inference on discrete Bayesian networks.
 
 Three interchangeable engines answer the same conditional queries: explicit
-reachability on a tree-like Markov chain translated from the network, a
+reachability on a Markov chain translated from the network (the tree of
+every partial evaluation, or the layered chain of one query), a
 symbolic engine over a hash-consed multi-terminal decision-diagram kernel,
 and a brute-force enumeration oracle. A PSDD evaluator covers the
 circuit-based representation for cross-paradigm comparison.

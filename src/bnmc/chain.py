@@ -1,4 +1,5 @@
-"""Translation of a Bayesian network into its tree-like Markov chain.
+"""Translation of a Bayesian network into its tree-like Markov chain, and the
+layered query chain of one conditional query.
 
 States are partial evaluations over the variables in topological order;
 `None` stands for the don't-care placeholder (rendered as `*`). The bound
@@ -25,12 +26,28 @@ it, so its pass stops at the layer of the deepest bound variable; every
 layer below would only multiply by row sums of 1. `final_states` and
 `path_probability` descend to the final layer. The backward sweep in `reach`
 serves only arbitrary goal sets.
+
+The tree remembers every value, so it is exponential in the number of
+variables. `bnmc infer` answers on a query chain instead: the product of the
+chain with a monitor for one query's evidence and hypothesis (Baier, Klein,
+Klüppelholz and Märcker, TACAS 2014). Its variables come in topological
+order with each root moved to just before its first child, and a value is
+forgotten once all of the variable's children are placed, so a state of
+layer k holds only the values of the frontier, the placed variables with a
+child still to come, and a flag saying whether the hypothesis agrees so far.
+An evidence disagreement goes to one absorbing reject state, and equal
+states of a layer merge, so the chain is a layered DAG of at most
+sum_k 2 * prod |D(frontier_k)| + 2 states: exponential only in the frontier
+width. That bound comes from the structure alone, so the cap refuses before
+any state is built. `reach.query_chain_conditional` reads both masses off
+the last layer in one forward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import fsum
 from operator import itemgetter
 from typing import ClassVar, Iterable, Mapping
 
@@ -239,3 +256,159 @@ def path_probability(mc: MarkovChain, final_index: int) -> float:
         raise ValueError(f"state {final_index} is not a final state")
     [(_, product)] = descend(mc, mc.assignment_of(final_index), to_final=True)
     return product
+
+
+QState = tuple  # (values of the layer's frontier, hypothesis flag)
+REJECT = 0  # the query chain's absorbing reject state
+
+
+@dataclass(frozen=True)
+class QueryChain:
+    """The chain of one query, a layered DAG (see the module docstring).
+
+    Index 0 is the reject state, a self-loop; index 1 is the initial state,
+    layer 0. Layer k >= 1 holds the states after `order[k - 1]` is placed,
+    from `layer_start[k]` on; the last layer, a suffix of the indices, is
+    final. A state is the values of `frontiers[k]`, in that order, and
+    whether every hypothesis variable placed so far agrees.
+    """
+
+    order: tuple[int, ...]
+    frontiers: tuple[tuple[int, ...], ...]
+    layer_start: tuple[int, ...]
+    states: tuple[QState | None, ...]  # None at REJECT
+    # The (p, target) edges of every non-final state, in index order.
+    edges: tuple[tuple[tuple[float, int], ...], ...]
+    initial: ClassVar[int] = 1
+
+    def final_indices(self) -> range:
+        return range(len(self.edges), len(self.states))
+
+
+def query_plan(bn: BayesianNetwork) -> tuple[list[int], list[int]]:
+    """The query chain's order, and per variable id the position of its last
+    child, or its own when it has none: its value is held until the variable
+    at that position is placed.
+
+    The order is topological with each root moved to just before its first
+    child, so a root's value is held only from there on; a root with no
+    child comes last. Non-roots keep their `topological_order`, ties by id.
+    """
+    parents = [cpt.parents for cpt in bn.cpts]
+    placed = [False] * len(parents)
+    order: list[int] = []
+    for var_id in topological_order(bn):
+        if parents[var_id]:
+            # Every parent not placed yet is a root.
+            for parent in parents[var_id]:
+                if not placed[parent]:
+                    placed[parent] = True
+                    order.append(parent)
+            placed[var_id] = True
+            order.append(var_id)
+    order += [var_id for var_id, done in enumerate(placed) if not done]
+    last = [0] * len(order)
+    for pos, var_id in enumerate(order):
+        last[var_id] = pos
+        for parent in parents[var_id]:
+            last[parent] = pos
+    return order, last
+
+
+def query_bound(bn: BayesianNetwork, order: list[int], last: list[int]) -> int:
+    """sum_k 2 * prod |D(frontier_k)| + 2, the worst-case size of the query
+    chain with the plan `order`, `last` of `query_plan`.
+
+    The frontier's width is kept as a running product, so the bound costs
+    O(n) whatever the width.
+    """
+    leaving: list[list[int]] = [[] for _ in order]
+    total, width = 2, 1
+    for pos, var_id in enumerate(order):
+        for size in leaving[pos]:
+            width //= size
+        if last[var_id] > pos:
+            size = len(bn.variables[var_id].domain)
+            width *= size
+            leaving[last[var_id]].append(size)
+        total += 2 * width
+    return total
+
+
+def build_query_chain(
+    bn: BayesianNetwork,
+    evidence: Assignment,
+    hypothesis: Assignment,
+    *,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> QueryChain:
+    """The query chain of P(hypothesis | evidence), layer by layer.
+
+    Zero-probability entries get no edge, and the disagreeing values of an
+    evidence variable share one edge to the reject state. Construction
+    refuses outright when the structural bound exceeds `state_cap`. The
+    caller checks that every bound value is in range.
+    """
+    order, last = query_plan(bn)
+    check_state_cap(query_bound(bn, order, last), state_cap)
+    states: list[QState | None] = [None, ((), True)]
+    edges: list[tuple[tuple[float, int], ...]] = [((1.0, REJECT),)]
+    frontier: tuple[int, ...] = ()
+    frontiers = [frontier]
+    layer_start = [1]
+    for pos, var_id in enumerate(order):
+        cpt = bn.cpts[var_id]
+        row_key = _tuple_getter([frontier.index(parent) for parent in cpt.parents])
+        keep = _tuple_getter([s for s, u in enumerate(frontier) if last[u] != pos])
+        held = last[var_id] > pos
+        frontier = keep(frontier) + ((var_id,) if held else ())
+        frontiers.append(frontier)
+        # Per CPT row: its kept (p, value, hypothesis agrees) moves, and the
+        # probability of an evidence disagreement.
+        wanted, expected = evidence.get(var_id), hypothesis.get(var_id)
+        moves = {}
+        for key, row in cpt.rows.items():
+            if wanted is None:
+                moves[key] = tuple(
+                    (p, d, expected is None or d == expected)
+                    for d, p in enumerate(row)
+                    if p != 0.0
+                ), 0.0
+            else:
+                p = row[wanted]
+                kept = ((p, wanted, expected is None or wanted == expected),)
+                moves[key] = (kept if p != 0.0 else ()), fsum(row) - p
+        start = len(states)
+        layer_start.append(start)
+        index: dict[QState, int] = {}
+        for values, agrees in states[layer_start[-2]:start]:
+            kept, reject = moves[row_key(values)]
+            base = keep(values)
+            out = []
+            for p, d, hyp_ok in kept:
+                target = (base + (d,) if held else base, agrees and hyp_ok)
+                t = index.get(target)
+                if t is None:
+                    t = index[target] = start + len(index)
+                out.append((p, t))
+            if reject:
+                out.append((reject, REJECT))
+            edges.append(tuple(out))
+        states += index
+    return QueryChain(
+        order=tuple(order),
+        frontiers=tuple(frontiers),
+        layer_start=tuple(layer_start),
+        states=tuple(states),
+        edges=tuple(edges),
+    )
+
+
+def _tuple_getter(slots: list[int]):
+    """A function giving the tuple of a state's values at `slots`."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        [slot] = slots
+        return lambda values: (values[slot],)
+    return lambda values: ()

@@ -156,8 +156,9 @@ def cmd_infer(args) -> int:
     results: dict[str, float] = {}
     for engine in engines:
         if engine == "explicit":
-            mc = chain.build_mc(bn, state_cap=args.state_cap)
-            results[engine] = reach.conditional_query(mc, query)
+            results[engine] = reach.query_chain_conditional(
+                bn, query, state_cap=args.state_cap
+            )
         elif engine == "symbolic":
             sym = symbolic.compile_network(bn)
             results[engine] = symbolic.infer(sym, query)

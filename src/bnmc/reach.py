@@ -6,7 +6,8 @@ sweep serves only arbitrary goal sets (`check_prop2`). A conditional query
 needs two masses, and the mass of a binding is the probability of ever
 reaching a state that satisfies it: the sum of the path probabilities that
 `chain.descend` finds in one forward pass, which stops at the layer where
-the binding's deepest variable is fixed.
+the binding's deepest variable is fixed. On a query chain both masses come
+from one forward pass to its last layer.
 """
 
 from __future__ import annotations
@@ -119,6 +120,36 @@ def conditional_query(mc: MarkovChain, q: ReachQuery) -> float:
     return conditional(
         lambda b: fsum(p for _, p in chain.descend(mc, b, to_final=False)), q
     )
+
+
+def query_chain_conditional(
+    bn: BayesianNetwork, q: ReachQuery, *, state_cap: int = chain.DEFAULT_STATE_CAP
+) -> float:
+    """Conditional probability of the hypothesis given the evidence, on the
+    query chain of `q`.
+
+    One forward pass over the layered chain gives both masses: the
+    probability of reaching the last layer, which the evidence alone decides,
+    and of reaching it with the hypothesis flag set.
+    """
+    check_assignment(bn, q.combined())
+    qc = chain.build_query_chain(bn, q.evidence, q.hypothesis, state_cap=state_cap)
+    mass = [0.0] * len(qc.states)
+    mass[qc.initial] = 1.0
+    edges = qc.edges
+    # An edge leads to the next layer or to the reject state, index 0, whose
+    # mass is never passed on; so one pass in index order is exact.
+    for idx in range(qc.initial, len(edges)):
+        m = mass[idx]
+        for p, target in edges[idx]:
+            mass[target] += m * p
+    final = qc.final_indices()
+    reached = fsum(mass[idx] for idx in final)
+    agreed = fsum(mass[idx] for idx in final if qc.states[idx][1])
+    # `conditional` asks for the evidence mass, then the combined one; the
+    # two bindings are equal only when the hypothesis adds nothing, and then
+    # so are the masses.
+    return conditional(lambda b: reached if b == q.evidence else agreed, q)
 
 
 def _satisfies(mc: MarkovChain, state_index: int, binding: Mapping[int, int]) -> bool:

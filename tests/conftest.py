@@ -94,6 +94,20 @@ def and_chain_bn(n: int) -> BayesianNetwork:
     return network_from_cpts("and_chain", roots + gates, cpts)
 
 
+def two_layer_bn(seed: int = 0) -> BayesianNetwork:
+    """30 binary roots r0..r29 and 32 binary children c0..c31, each child with
+    3 seeded random roots as parents, like a two-layer QMR network."""
+    rng = random.Random(seed)
+    roots = [Variable(id=i, name=f"r{i}", domain=("0", "1")) for i in range(30)]
+    children = [Variable(id=30 + j, name=f"c{j}", domain=("0", "1")) for j in range(32)]
+    cpts = [Cpt(owner=i, parents=(), rows={(): _row(rng)}) for i in range(30)]
+    for j in range(32):
+        parents = tuple(sorted(rng.sample(range(30), 3)))
+        rows = {key: _row(rng) for key in product((0, 1), repeat=3)}
+        cpts.append(Cpt(owner=30 + j, parents=parents, rows=rows))
+    return network_from_cpts("two_layer", roots + children, cpts)
+
+
 def chain_forward(bn: BayesianNetwork, first: tuple[int, ...]) -> float:
     """P(v0 in `first`, v{n-1} = 1) on a `chain_bn` by one forward pass."""
     dist = [p if v in first else 0.0 for v, p in enumerate(bn.cpts[0].rows[()])]

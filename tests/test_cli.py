@@ -183,48 +183,68 @@ def test_infer_symbolic_engine_above_the_state_cap(tmp_path, capsys):
     path = tmp_path / "chain40.bif"
     path.write_text(write_bif(bn), encoding="utf-8")
     query = [str(path), "--ev", "v39=1", "--hyp", "v0=0"]
-    code, out, _ = run(["infer", *query, "--engine", "symbolic"], capsys)
-    assert code == 0
     expected = chain_forward(bn, (0,)) / chain_forward(bn, (0, 1))
-    assert abs(float(out) - expected) <= 1e-12
-    code, _, err = run(["infer", *query, "--engine", "explicit"], capsys)
+    # The tree of 2^41 - 1 states is refused; the query chain has at most 160.
+    for engine in ("symbolic", "explicit"):
+        code, out, _ = run(["infer", *query, "--engine", engine], capsys)
+        assert code == 0
+        assert abs(float(out) - expected) <= 1e-12
+    code, _, err = run(["translate", str(path), "--format", "dot"], capsys)
     assert code == 4
     assert str(2**41 - 1) in err
 
 
 def test_infer_pruned_answers_match_the_unpruned_oracle(tmp_path, capsys):
+    # Every engine of `--engine all`, and the explicit engine alone, against
+    # the oracle on the whole network: values, and which queries exit 3.
+    from conftest import permuted_ids
+
     rng = random.Random(2024)
     pruned = refused = 0
-    for i in range(40):
-        bn = random_network(rng, max_vars=7, max_domain=3, zero_entry_prob=0.3)
-        path = tmp_path / f"net{i}.bif"
-        path.write_text(write_bif(bn), encoding="utf-8")
-        for _ in range(3):
-            q = random_query(rng, bn)
-            pruned += len(ancestral_query(bn, q)[0].variables) < len(bn.variables)
-            args = ["infer", str(path), "--engine", "all"]
-            for flag, binding in (("--ev", q.evidence), ("--hyp", q.hypothesis)):
-                for var_id, value in binding.items():
-                    v = bn.variables[var_id]
-                    args += [flag, f"{v.name}={v.domain[value]}"]
-            code, out, _ = run(args, capsys)
-            try:
-                expected = oracle_infer(bn, q)
-            except IllConditionedQueryError:
-                refused += 1
-                assert code == 3
-                continue
-            assert code == 0
-            printed = dict(line.split(": ") for line in out.splitlines())
-            for engine in ("explicit", "symbolic", "oracle"):
-                assert abs(float(printed[engine]) - expected) <= 1e-12
+    for zero_entry_prob in (0.0, 0.1, 0.3):
+        for i in range(40):
+            bn = random_network(rng, max_vars=7, max_domain=3, zero_entry_prob=zero_entry_prob)
+            # Names survive the permutation, so one query text serves both
+            # copies; shuffled ids change the order in which roots are moved.
+            paths = []
+            for copy, net in enumerate((bn, permuted_ids(bn, rng))):
+                path = tmp_path / f"net{zero_entry_prob}-{i}-{copy}.bif"
+                path.write_text(write_bif(net), encoding="utf-8")
+                paths.append(str(path))
+            for _ in range(3):
+                q = random_query(rng, bn)
+                pruned += len(ancestral_query(bn, q)[0].variables) < len(bn.variables)
+                bindings = []
+                for flag, binding in (("--ev", q.evidence), ("--hyp", q.hypothesis)):
+                    for var_id, value in binding.items():
+                        v = bn.variables[var_id]
+                        bindings += [flag, f"{v.name}={v.domain[value]}"]
+                try:
+                    expected = oracle_infer(bn, q)
+                except IllConditionedQueryError:
+                    expected = None
+                    refused += 1
+                for path in paths:
+                    for engine in ("all", "explicit"):
+                        code, out, _ = run(["infer", path, "--engine", engine, *bindings], capsys)
+                        if expected is None:
+                            assert code == 3, (path, q, engine)
+                            continue
+                        assert code == 0, (path, q, engine)
+                        if engine == "all":
+                            printed = dict(line.split(": ") for line in out.splitlines())
+                            values = [printed[e] for e in ("explicit", "symbolic", "oracle")]
+                        else:
+                            values = [out]
+                        for value in values:
+                            assert abs(float(value) - expected) <= 1e-12, (path, q, engine)
     assert pruned > 0 and refused > 0
 
 
 @pytest.mark.parametrize("n, engine", [(40, "explicit"), (70, "symbolic"), (70, "oracle")])
 def test_infer_on_a_long_chain_head_ignores_the_tail(tmp_path, capsys, n, engine):
-    # Unpruned, chain_bn(40) exceeds the default state cap and chain_bn(70)
-    # the enumeration cap; v0..v3 fit both.
+    # Unpruned, the tree of chain_bn(40) exceeds the default state cap and
+    # chain_bn(70) the enumeration cap; v0..v3 fit both.
     from conftest import chain_bn, chain_forward
 
     path = tmp_path / "chain.bif"
@@ -251,6 +271,59 @@ def test_infer_symbolic_on_an_1100_bit_chain(tmp_path, capsys):
     assert code == 0, err
     expected = chain_forward(bn, (0,)) / chain_forward(bn, (0, 1))
     assert abs(float(out) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("network", ["chain", "and_chain", "copy_chain"])
+def test_infer_explicit_answers_where_the_tree_is_refused(tmp_path, capsys, network):
+    # Each tree has more than 2^64 states; each query chain at most 8 a layer.
+    from conftest import and_chain_bn, chain_bn, chain_forward, copy_chain_bn
+
+    if network == "chain":
+        bn = chain_bn(1100)
+        query = ["--ev", "v1099=1", "--hyp", "v0=0"]
+        expected = chain_forward(bn, (0,)) / chain_forward(bn, (0, 1))
+    elif network == "and_chain":
+        bn = and_chain_bn(1000)
+        query = ["--hyp", "y999=1"]
+        expected = 0.9**1000
+    else:
+        bn = copy_chain_bn(15000)
+        query = ["--ev", "v14999=1"]
+        expected = 1.0
+    path = tmp_path / "net.bif"
+    path.write_text(write_bif(bn), encoding="utf-8")
+    code, out, err = run(["infer", str(path), *query, "--engine", "explicit"], capsys)
+    assert code == 0, err
+    assert abs(float(out) - expected) <= 1e-12 * expected
+
+
+def test_infer_explicit_refuses_a_wide_two_layer_network(tmp_path, capsys):
+    # Children share random roots, so the frontier of the query chain holds
+    # up to 22 roots: a bound of about 7.5e7 states, above the default cap.
+    # The bound is structural, so the refusal comes before any state is built.
+    from conftest import two_layer_bn
+
+    bn = two_layer_bn(1)
+    path = tmp_path / "two_layer.bif"
+    path.write_text(write_bif(bn), encoding="utf-8")
+    evidence = ",".join(f"c{j}=1" for j in range(32))
+    start = time.perf_counter()
+    code, out, err = run(["infer", str(path), "--ev", evidence, "--engine", "explicit"], capsys)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (4, "")
+    assert err.startswith("error: chain would have up to ") and err.count("\n") == 1
+    bound = int(err.split()[6])
+    assert 10**7 < bound < 10**8
+
+
+def test_infer_explicit_cap_is_the_query_chain_bound(bif_path, capsys):
+    # `infer --hyp Mood=0` keeps Dif, Prep, Grade and Mood; its frontiers
+    # hold 1, 2, 1 and 0 values, so the bound is 2 * (2 + 4 + 2 + 1) + 2.
+    query = ["infer", bif_path, "--hyp", "Mood=0", "--engine", "explicit"]
+    assert run([*query, "--state-cap", "20"], capsys)[0] == 0
+    code, _, err = run([*query, "--state-cap", "19"], capsys)
+    assert code == 4
+    assert err.startswith("error: chain would have up to 20 states, above the cap of 19")
 
 
 def test_translate_dot_reports_states(bif_path, tmp_path, capsys):
@@ -305,14 +378,10 @@ def test_chain_bound_above_2_to_the_64_is_refused_by_the_cap(tmp_path, capsys):
 
     path = tmp_path / "copy.bif"
     path.write_text(write_bif(copy_chain_bn(15000)), encoding="utf-8")
-    for args in (
-        ["translate", str(path), "--format", "dot"],
-        ["infer", str(path), "--ev", "v14999=1", "--engine", "explicit"],
-    ):
-        code, _, err = run(args, capsys)
-        assert code == 4
-        assert err.startswith("error: ") and "more than 2^64" in err
-        assert err.count("\n") == 1 and len(err) < 200
+    code, _, err = run(["translate", str(path), "--format", "dot"], capsys)
+    assert code == 4
+    assert err.startswith("error: ") and "more than 2^64" in err
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_translate_reports_a_cycle_not_the_cap(tmp_path, capsys):
@@ -567,7 +636,8 @@ def test_infer_rejects_malformed_config(tmp_path, bif_path, psdd_paths, capsys, 
 
 
 def test_state_cap_flag_beats_config(tmp_path, bif_path, capsys):
-    # The student network's chain has 31 states.
+    # The student network's tree has 31 states, and the query chain of
+    # `infer --hyp Mood=0` is bounded by 20: both lie between the two caps.
     for config_cap, flag_cap, expected in ((5, 31, 0), (31, 5, 4)):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"state_cap": config_cap}), encoding="utf-8")
@@ -580,7 +650,8 @@ def test_state_cap_flag_beats_config(tmp_path, bif_path, capsys):
 
 
 def test_negative_state_cap_flag_exits_2(bif_path, capsys):
-    # The student network's chain has 31 states, so a cap of 0 refuses it.
+    # The student network's tree has 31 states, and the query chain of
+    # `infer --hyp Mood=0` is bounded by 20, so a cap of 0 refuses both.
     for form in (
         ["translate", bif_path, "--format", "dot"],
         ["infer", bif_path, "--hyp", "Mood=0", "--engine", "explicit"],

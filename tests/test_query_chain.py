@@ -1,0 +1,142 @@
+import random
+from math import fsum, prod
+
+import pytest
+
+from bnmc.chain import (
+    REJECT,
+    build_mc,
+    build_query_chain,
+    query_bound,
+    query_plan,
+)
+from bnmc.errors import IllConditionedQueryError, StateCapError
+from bnmc.gen import random_network, random_query
+from bnmc.network import subnetwork, topological_order
+from bnmc.reach import ReachQuery, conditional_query, query_chain_conditional
+
+from conftest import and_chain_bn, chain_bn, permuted_ids, single_var_bn
+
+
+def _networks(seed, count=30):
+    rng = random.Random(seed)
+    for zero_entry_prob in (0.0, 0.1, 0.3):
+        for _ in range(count):
+            bn = random_network(rng, max_vars=7, max_domain=3, zero_entry_prob=zero_entry_prob)
+            yield rng, bn
+            yield rng, permuted_ids(bn, rng)
+
+
+def _answer(fn):
+    try:
+        return fn()
+    except IllConditionedQueryError:
+        return None
+
+
+def test_query_chain_matches_the_tree():
+    refused = 0
+    for rng, bn in _networks(7):
+        mc = build_mc(bn)
+        for _ in range(3):
+            q = random_query(rng, bn, max_evidence=3)
+            tree = _answer(lambda: conditional_query(mc, q))
+            layered = _answer(lambda: query_chain_conditional(bn, q))
+            assert (tree is None) == (layered is None), q
+            if tree is None:
+                refused += 1
+            else:
+                assert abs(tree - layered) <= 1e-12
+    assert refused > 0
+
+
+def test_query_plan_is_topological_with_roots_just_before_their_first_child():
+    for _, bn in _networks(3, count=20):
+        order, last = query_plan(bn)
+        assert sorted(order) == list(range(len(bn.variables)))
+        position = {v: i for i, v in enumerate(order)}
+        parents = [cpt.parents for cpt in bn.cpts]
+        children = [[c for c, ps in enumerate(parents) if v in ps] for v in range(len(parents))]
+        inner = [v for v in topological_order(bn) if parents[v]]
+        assert [v for v in order if parents[v]] == inner
+        for v in order:
+            assert all(position[u] < position[v] for u in parents[v])
+            assert last[v] == max((position[c] for c in children[v]), default=position[v])
+            if parents[v]:
+                continue
+            if not children[v]:
+                assert position[v] > max((position[u] for u in inner), default=-1)
+                continue
+            first = min(position[c] for c in children[v])
+            # Only other parents of that child sit between a root and it.
+            between = order[position[v] + 1 : first]
+            assert all(u in parents[order[first]] and not parents[u] for u in between)
+
+
+def test_roots_first_and_chain_is_interleaved():
+    n = 50
+    bn = and_chain_bn(n)
+    order, _ = query_plan(bn)
+    assert order == [v for i in range(n) for v in (i, n + i)]
+    # Frontiers hold one or two values: at most 2 * 4 states a layer.
+    assert query_bound(bn, *query_plan(bn)) <= 2 * n * 8 + 2
+
+
+def test_query_chain_layers_hold_only_their_frontier():
+    for rng, bn in _networks(11, count=15):
+        q = random_query(rng, bn, max_evidence=3)
+        qc = build_query_chain(bn, q.evidence, q.hypothesis)
+        order = qc.order
+        n = len(order)
+        assert len(qc.states) <= query_bound(bn, *query_plan(bn))
+        assert len(qc.frontiers) == len(qc.layer_start) == n + 1
+        ends = qc.layer_start[1:] + (len(qc.states),)
+        for k, (frontier, start, end) in enumerate(zip(qc.frontiers, qc.layer_start, ends)):
+            placed = set(order[:k])
+            # The placed variables with a child still to come, in some order.
+            assert sorted(frontier) == sorted(
+                u for u in placed
+                if any(u in bn.cpts[c].parents for c in order[k:])
+            )
+            layer = qc.states[start:end]
+            assert len(set(layer)) == len(layer)
+            assert len(layer) <= 2 * prod(len(bn.variables[u].domain) for u in frontier)
+            assert all(len(values) == len(frontier) for values, _ in layer)
+        assert qc.final_indices() == range(qc.layer_start[-1], len(qc.states))
+        for idx, out in enumerate(qc.edges):
+            # A Markov chain: each row sums to 1, and every edge but the
+            # reject state's self-loop leads to the next layer.
+            assert abs(fsum(p for p, _ in out) - 1.0) <= 1e-9
+            assert all(t == REJECT or t > idx for _, t in out)
+
+
+def test_evidence_disagreement_goes_to_the_reject_state():
+    bn = single_var_bn(0.3)
+    qc = build_query_chain(bn, {0: 1}, {})
+    assert qc.states == (None, ((), True), ((), True))
+    assert qc.edges == (((1.0, REJECT),), ((0.3, 2), (0.7, REJECT)))
+    qc = build_query_chain(bn, {}, {0: 1})
+    assert qc.states[2:] == (((), False), ((), True))
+    assert query_chain_conditional(bn, ReachQuery(evidence={0: 1})) == 1.0
+    assert query_chain_conditional(bn, ReachQuery(hypothesis={0: 1})) == 0.3
+
+
+def test_zero_evidence_is_refused():
+    bn = single_var_bn(0.0)
+    with pytest.raises(IllConditionedQueryError):
+        query_chain_conditional(bn, ReachQuery(evidence={0: 1}))
+
+
+def test_empty_network_answers_one():
+    bn = subnetwork(chain_bn(3), [])
+    assert query_chain_conditional(bn, ReachQuery()) == 1.0
+
+
+def test_cap_refuses_by_the_structural_bound():
+    bn = chain_bn(12)
+    bound = query_bound(bn, *query_plan(bn))
+    assert bound == 11 * 4 + 2 + 2
+    qc = build_query_chain(bn, {11: 1}, {0: 0}, state_cap=bound)
+    assert len(qc.states) <= bound
+    with pytest.raises(StateCapError, match=f"up to {bound} states, above the cap of {bound - 1}"):
+        build_query_chain(bn, {11: 1}, {0: 0}, state_cap=bound - 1)
