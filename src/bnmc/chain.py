@@ -30,11 +30,11 @@ serves only arbitrary goal sets.
 The tree remembers every value, so it is exponential in the number of
 variables. `bnmc infer` answers on a query chain instead: the product of the
 chain with a monitor for one query's evidence and hypothesis (Baier, Klein,
-Klüppelholz and Märcker, TACAS 2014). Its variables come in topological
-order with each root moved to just before its first child, and a value is
-forgotten once all of the variable's children are placed, so a state of
-layer k holds only the values of the frontier, the placed variables with a
-child still to come, and a flag saying whether the hypothesis agrees so far.
+Klüppelholz and Märcker, TACAS 2014). Its variables come in `query_plan`'s
+order, which symbolic elimination shares, and a value is forgotten at its
+`retire_positions`, once all of the variable's children are placed, so a
+state of layer k holds only the values of the frontier, the placed variables
+with a child to come, and a flag saying whether the hypothesis agrees so far.
 An evidence disagreement goes to one absorbing reject state, and equal
 states of a layer merge, so the chain is a layered DAG of at most
 sum_k 2 * prod |D(frontier_k)| + 2 states: exponential only in the frontier
@@ -285,10 +285,9 @@ class QueryChain:
         return range(len(self.edges), len(self.states))
 
 
-def query_plan(bn: BayesianNetwork) -> tuple[list[int], list[int]]:
-    """The query chain's order, and per variable id the position of its last
-    child, or its own when it has none: its value is held until the variable
-    at that position is placed.
+def query_plan(bn: BayesianNetwork) -> tuple[list[int], dict[int, int]]:
+    """The order in which both the query chain and symbolic elimination place
+    the variables, and its `retire_positions`.
 
     The order is topological with each root moved to just before its first
     child, so a root's value is held only from there on; a root with no
@@ -307,15 +306,22 @@ def query_plan(bn: BayesianNetwork) -> tuple[list[int], list[int]]:
             placed[var_id] = True
             order.append(var_id)
     order += [var_id for var_id, done in enumerate(placed) if not done]
-    last = [0] * len(order)
+    return order, retire_positions(bn, order)
+
+
+def retire_positions(bn: BayesianNetwork, order: list[int]) -> dict[int, int]:
+    """Per variable of `order`, topological over an ancestor-closed set, the
+    position of its last child there, or its own: its value is needed until
+    the variable at that position is placed."""
+    last = {}
     for pos, var_id in enumerate(order):
         last[var_id] = pos
-        for parent in parents[var_id]:
+        for parent in bn.cpts[var_id].parents:
             last[parent] = pos
-    return order, last
+    return last
 
 
-def query_bound(bn: BayesianNetwork, order: list[int], last: list[int]) -> int:
+def query_bound(bn: BayesianNetwork, order: list[int], last: Mapping[int, int]) -> int:
     """sum_k 2 * prod |D(frontier_k)| + 2, the worst-case size of the query
     chain with the plan `order`, `last` of `query_plan`.
 

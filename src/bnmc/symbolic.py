@@ -11,17 +11,16 @@ The mass of a partial assignment never needs the full joint, nor any CPT
 outside the ancestors of the bound variables: such a CPT sums out to 1
 (barren-node removal: Shachter 1986; Baker and Boult 1990), so it is
 skipped and an empty binding has mass exactly 1. Each ancestral CPT
-diagram is cofactored by the bound bits in its scope, and the free
-variables are summed out one at a time in reverse topological order, each
-over the product of only the factors that mention it (bucket elimination,
-Dechter 1996). Inference never reads the monolithic joint diagram,
+diagram is cofactored by the bound bits in its scope, and each free
+variable is summed out where the query chain forgets it, at its last child
+in `chain.query_plan` (bucket elimination, Dechter 1996): both engines walk
+one plan. Inference never reads the monolithic joint diagram,
 `SymbolicBn.joint`, which each read rebuilds from the apply memo.
 
-`compile_network` fixes a model's layout (each variable's topological
-position and bit levels). No cap bounds the bit count: a query costs what
-its elimination builds. Each query appends the nodes it makes to the
-model's one node store, beside its entries in the memo tables, and none of
-them is freed while the model lives.
+`compile_network` fixes a model's layout (bit levels and the plan). No cap
+bounds the bit count: a query costs what its elimination builds. Each query
+appends the nodes it makes to the model's one node store, beside its
+entries in the memo tables, and none of them is freed while the model lives.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import IO, Iterable, Mapping, Sequence
 
+from .chain import query_plan, retire_positions
 from .errors import IllConditionedQueryError
 from .mtbdd import MtbddManager, NodeRef
 from .network import BayesianNetwork, ancestors, check_assignment, topological_order
@@ -80,8 +80,8 @@ class SymbolicBn:
     """
 
     network: BayesianNetwork
-    order: tuple[int, ...]
-    position: Mapping[int, int]  # variable id -> index in `order`
+    order: tuple[int, ...]  # the diagram's variable order
+    plan: tuple[int, ...]  # the elimination order, `chain.query_plan`'s
     manager: MtbddManager
     encoding: BitEncoding
     cpt_refs: Mapping[int, NodeRef]
@@ -110,11 +110,10 @@ def _table_diagram(
     encoding: BitEncoding,
     bn: BayesianNetwork,
     var_id: int,
-    position: Mapping[int, int],
 ) -> NodeRef:
     """Diagram over the owner's and parents' bits yielding the row probability."""
     cpt = bn.cpts[var_id]
-    scope = sorted((*cpt.parents, var_id), key=position.__getitem__)
+    scope = sorted((*cpt.parents, var_id), key=lambda w: encoding.levels[w].start)
     sizes = [len(bn.variables[w].domain) for w in scope]
     parents = [scope.index(p) for p in cpt.parents]
     owner = scope.index(var_id)
@@ -151,12 +150,11 @@ def compile_network(bn: BayesianNetwork) -> SymbolicBn:
     order = tuple(topological_order(bn))
     encoding = BitEncoding.from_network(bn, order)
     mgr = MtbddManager(encoding.order)
-    position = {v: i for i, v in enumerate(order)}
-    cpt_refs = {v: _table_diagram(mgr, encoding, bn, v, position) for v in order}
+    cpt_refs = {v: _table_diagram(mgr, encoding, bn, v) for v in order}
     return SymbolicBn(
         network=bn,
         order=order,
-        position=position,
+        plan=tuple(query_plan(bn)[0]),
         manager=mgr,
         encoding=encoding,
         cpt_refs=cpt_refs,
@@ -177,57 +175,53 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
     """Probability of a partial assignment by bucket elimination.
 
     Only the CPTs of the binding's ancestors take part: every other CPT sums
-    out to 1 (barren-node removal). Each factor (a CPT diagram cofactored by
-    the bound bits in its scope) waits in the bucket of its latest free
-    variable in topological order; a bucket's factors are multiplied, that
-    variable's bits summed out, and the result passed on. Factors with no
-    free variable left are terminals and are multiplied as floats.
+    out to 1 (barren-node removal). The ancestors are closed under parents
+    and keep the model's plan order; bucket k sums out the free variables
+    that `chain.retire_positions` retires at k. A factor (a CPT diagram
+    cofactored by the bound bits in its scope) waits in the bucket of its
+    earliest-retiring free variable; one with none is a terminal. Bucket k
+    runs once plan[k] is placed, as no later factor joins it.
     """
     key = tuple(sorted(binding.items()))
     hit = sym.masses.get(key)
     if hit is not None:
         return hit
-    mgr, position, cpts = sym.manager, sym.position, sym.network.cpts
-    levels = sym.encoding.levels
-    bound = {
-        w: tuple(zip(levels[w], sym.encoding.pattern(w, d))) for w, d in binding.items()
-    }
-    # The ancestors are closed under parents, so every free variable of a
-    # kept factor has a bucket.
-    kept = sorted(position[w] for w in ancestors(sym.network, binding))
-    buckets: dict[int, list[tuple[NodeRef, frozenset[int]]]] = {pos: [] for pos in kept}
+    mgr, cpts, bits = sym.manager, sym.network.cpts, sym.encoding.bits
+    levels, pattern = sym.encoding.levels, sym.encoding.pattern
+    bound = {w: tuple(zip(levels[w], pattern(w, d))) for w, d in binding.items()}
+    plan = list(filter(ancestors(sym.network, binding).__contains__, sym.plan))
+    retire = retire_positions(sym.network, plan)
+    buckets: list[list[tuple[NodeRef, frozenset[int]]]] = [[] for _ in plan]
     mass = 1.0
 
     def place(node: NodeRef, free: frozenset[int]) -> None:
         nonlocal mass
         if free:
-            buckets[max(free)].append((node, free))
+            buckets[min(map(retire.__getitem__, free))].append((node, free))
         else:
             mass *= mgr.terminal_value(node)
 
-    for pos in kept:
-        var_id = sym.order[pos]
+    for pos, var_id in enumerate(plan):
         node = sym.cpt_refs[var_id]
         scope = (*cpts[var_id].parents, var_id)
         cube = {level: bit for w in scope if w in bound for level, bit in bound[w]}
         if cube:
             node = mgr.cofactor(node, cube)
-        place(node, frozenset(position[w] for w in scope if w not in binding))
-    for pos in reversed(kept):
-        if not buckets[pos]:
-            continue
-        (node, free), *rest = buckets[pos]
-        for other, other_free in rest:
-            node = mgr.apply("*", node, other)
-            free |= other_free
-        node = mgr.sum_abstract(node, sym.encoding.bits[sym.order[pos]])
-        place(node, free - {pos})
+        place(node, frozenset(scope).difference(binding))
+        if buckets[pos]:
+            (node, free), *rest = buckets[pos]
+            for other, other_free in rest:
+                node = mgr.apply("*", node, other)
+                free |= other_free
+            gone = [w for w in free if retire[w] == pos]
+            node = mgr.sum_abstract(node, (b for w in gone for b in bits[w]))
+            place(node, free.difference(gone))
     sym.masses[key] = mass
     return mass
 
 
 def infer(sym: SymbolicBn, q: ReachQuery) -> float:
-    """Conditional probability from two bucket-elimination masses."""
+    """Conditional probability from two masses eliminated along the plan."""
     check_assignment(sym.network, q.combined())
     return conditional(lambda b: _restricted_mass(sym, b), q)
 

@@ -94,6 +94,30 @@ def and_chain_bn(n: int) -> BayesianNetwork:
     return network_from_cpts("and_chain", roots + gates, cpts)
 
 
+def two_and_chains_bn(n: int) -> BayesianNetwork:
+    """Roots x0..x{n-1} with P(x_i = 1) = 0.9, each feeding two AND chains:
+    a0 = b0 = x0, a_i = AND(a_{i-1}, x_i) and b_i = AND(b_{i-1}, x_i).
+
+    Every x_i is placed before a_i and kept until b_i, so elimination in
+    that order carries all the roots at once; P(a{n-1} = b{n-1} = 1) = 0.9^n.
+    """
+    roots = [Variable(id=i, name=f"x{i}", domain=("0", "1")) for i in range(n)]
+    gates = [
+        Variable(id=k * n + i, name=f"{chain}{i}", domain=("0", "1"))
+        for k, chain in ((1, "a"), (2, "b"))
+        for i in range(n)
+    ]
+    copy = {(0,): (1.0, 0.0), (1,): (0.0, 1.0)}
+    conj = {(a, b): (0.0, 1.0) if a and b else (1.0, 0.0) for a in (0, 1) for b in (0, 1)}
+    cpts = [Cpt(owner=i, parents=(), rows={(): (0.1, 0.9)}) for i in range(n)]
+    for base in (n, 2 * n):
+        cpts.append(Cpt(owner=base, parents=(0,), rows=copy))
+        cpts += [
+            Cpt(owner=base + i, parents=(i, base + i - 1), rows=conj) for i in range(1, n)
+        ]
+    return network_from_cpts("two_and_chains", roots + gates, cpts)
+
+
 def two_layer_bn(seed: int = 0) -> BayesianNetwork:
     """30 binary roots r0..r29 and 32 binary children c0..c31, each child with
     3 seeded random roots as parents, like a two-layer QMR network."""

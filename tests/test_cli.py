@@ -297,6 +297,19 @@ def test_infer_explicit_answers_where_the_tree_is_refused(tmp_path, capsys, netw
     assert abs(float(out) - expected) <= 1e-12 * expected
 
 
+def test_infer_scalable_engines_answer_a_1000_gate_and_chain(tmp_path, capsys):
+    # Both engines place each root just before its gate, so each layer or
+    # message holds at most two values.
+    from conftest import and_chain_bn
+
+    path = tmp_path / "and.bif"
+    path.write_text(write_bif(and_chain_bn(1000)), encoding="utf-8")
+    for engine in ("explicit", "symbolic"):
+        code, out, err = run(["infer", str(path), "--hyp", "y999=1", "--engine", engine], capsys)
+        assert code == 0, (engine, err)
+        assert abs(float(out) - 0.9**1000) <= 1e-12 * 0.9**1000, engine
+
+
 def test_infer_explicit_refuses_a_wide_two_layer_network(tmp_path, capsys):
     # Children share random roots, so the frontier of the query chain holds
     # up to 22 roots: a bound of about 7.5e7 states, above the default cap.
@@ -570,13 +583,14 @@ def test_infer_out_of_memory_exits_4(bif_path, capsys, monkeypatch, exhausted, r
 
 
 def test_deep_elimination_exits_4_at_the_recursion_limit(tmp_path, capsys):
-    # The roots-first AND chain carries every root into one message, whose
-    # diagram is deeper than a lowered limit allows the recursive kernel.
-    from conftest import and_chain_bn
+    # Each root feeds two AND chains, so elimination carries every root into
+    # one message, whose diagram is deeper than a lowered limit allows the
+    # recursive kernel.
+    from conftest import two_and_chains_bn
 
     path = tmp_path / "and.bif"
-    path.write_text(write_bif(and_chain_bn(150)), encoding="utf-8")
-    args = ["infer", str(path), "--hyp", "y149=1", "--engine", "symbolic"]
+    path.write_text(write_bif(two_and_chains_bn(150)), encoding="utf-8")
+    args = ["infer", str(path), "--hyp", "a149=1,b149=1", "--engine", "symbolic"]
     code, out, err = run(args, capsys)
     assert code == 0, err
     assert abs(float(out) - 0.9**150) <= 1e-12 * 0.9**150

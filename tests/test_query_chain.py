@@ -9,10 +9,11 @@ from bnmc.chain import (
     build_query_chain,
     query_bound,
     query_plan,
+    retire_positions,
 )
 from bnmc.errors import IllConditionedQueryError, StateCapError
 from bnmc.gen import random_network, random_query
-from bnmc.network import subnetwork, topological_order
+from bnmc.network import ancestors, subnetwork, topological_order
 from bnmc.reach import ReachQuery, conditional_query, query_chain_conditional
 
 from conftest import and_chain_bn, chain_bn, permuted_ids, single_var_bn
@@ -51,17 +52,33 @@ def test_query_chain_matches_the_tree():
 
 
 def test_query_plan_is_topological_with_roots_just_before_their_first_child():
+    pick = random.Random(5)
     for _, bn in _networks(3, count=20):
         order, last = query_plan(bn)
-        assert sorted(order) == list(range(len(bn.variables)))
-        position = {v: i for i, v in enumerate(order)}
+        n = len(bn.variables)
+        assert sorted(order) == list(range(n))
         parents = [cpt.parents for cpt in bn.cpts]
-        children = [[c for c, ps in enumerate(parents) if v in ps] for v in range(len(parents))]
+        children = [[c for c, ps in enumerate(parents) if v in ps] for v in range(n)]
+        # The plan filtered to an ancestor-closed set, as a symbolic mass
+        # filters it to a binding's ancestors, retires each variable at its
+        # last kept child.
+        kept = ancestors(bn, pick.sample(range(n), pick.randint(0, n)))
+        plan = [v for v in order if v in kept]
+        for keep, sub, retire in (
+            (set(range(n)), order, last),
+            (kept, plan, retire_positions(bn, plan)),
+        ):
+            position = {v: i for i, v in enumerate(sub)}
+            assert retire.keys() == keep
+            for v in sub:
+                assert retire[v] == max(
+                    (position[c] for c in children[v] if c in keep), default=position[v]
+                )
+        position = {v: i for i, v in enumerate(order)}
         inner = [v for v in topological_order(bn) if parents[v]]
         assert [v for v in order if parents[v]] == inner
         for v in order:
             assert all(position[u] < position[v] for u in parents[v])
-            assert last[v] == max((position[c] for c in children[v]), default=position[v])
             if parents[v]:
                 continue
             if not children[v]:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from bnmc.bif import document_to_network, parse_bif_document, write_bif
+from bnmc.chain import query_plan
 from bnmc.errors import IllConditionedQueryError
 from bnmc.gen import random_network, random_query
 from bnmc.network import (
@@ -194,6 +195,19 @@ def test_long_chain_matches_forward_pass():
     bn = chain_bn(60)
     got = infer(compile_network(bn), ReachQuery(evidence={59: 1}, hypothesis={0: 0}))
     assert abs(got - chain_forward(bn, (0,)) / chain_forward(bn, (0, 1))) <= 1e-12
+
+
+def test_and_chain_elimination_follows_the_query_plan():
+    # In the plan each root sits just before its gate, so every message is
+    # over at most two variables; a message over all the roots would take
+    # tens of thousands of nodes.
+    from conftest import and_chain_bn
+
+    n = 200
+    sym = compile_network(and_chain_bn(n))
+    assert list(sym.plan) == query_plan(sym.network)[0]
+    assert abs(infer(sym, ReachQuery(hypothesis={2 * n - 1: 1})) - 0.9**n) <= 1e-12 * 0.9**n
+    assert sym.manager.live_nodes < 10_000
 
 
 def test_compile_enumerate_equivalence():
