@@ -2,7 +2,7 @@
 
 Three interchangeable engines answer the same conditional queries: explicit
 reachability on a Markov chain translated from the network (the tree of
-every partial evaluation, or the layered chain of one query), a
+every partial evaluation, or the chain of one query walked layer by layer), a
 symbolic engine over a hash-consed multi-terminal decision-diagram kernel,
 and a brute-force enumeration oracle. A PSDD evaluator covers the
 circuit-based representation for cross-paradigm comparison.

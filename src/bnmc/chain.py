@@ -1,5 +1,5 @@
 """Translation of a Bayesian network into its tree-like Markov chain, and the
-layered query chain of one conditional query.
+walk of the query chain of one conditional query.
 
 States are partial evaluations over the variables in topological order;
 `None` stands for the don't-care placeholder (rendered as `*`). The bound
@@ -35,21 +35,22 @@ order, which symbolic elimination shares, and a value is forgotten at its
 `retire_positions`, once all of the variable's children are placed, so a
 state of layer k holds only the values of the frontier, the placed variables
 with a child to come, and a flag saying whether the hypothesis agrees so far.
-An evidence disagreement goes to one absorbing reject state, and equal
-states of a layer merge, so the chain is a layered DAG of at most
-sum_k 2 * prod |D(frontier_k)| + 2 states: exponential only in the frontier
-width. That bound comes from the structure alone, so the cap refuses before
-any state is built. `reach.query_chain_conditional` reads both masses off
-the last layer in one forward pass.
+Equal states of a layer merge, so layer k has at most 2 * prod |D(frontier_k)|
+states: exponential only in the frontier width. Every edge leads from one
+layer to the next, so the chain is never stored: `query_layers` walks it,
+building each layer's state masses from the previous layer alone, and an
+evidence disagreement or a zero entry simply passes on no mass. Memory thus
+follows the widest layer. The cap still counts the whole chain's structural
+bound, sum_k 2 * prod |D(frontier_k)| + 2, which it checks before the first
+layer. `reach.query_chain_conditional` reads both masses off the last layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import fsum
 from operator import itemgetter
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .errors import StateCapError
 from .network import Assignment, BayesianNetwork, check_assignment, topological_order
@@ -58,6 +59,7 @@ DEFAULT_STATE_CAP = 10_000_000
 
 McState = tuple  # of int | None, one slot per variable in chain order
 Edge = tuple  # (p, offset): a child's probability and its place in the run
+QState = tuple  # (values of the layer's frontier, hypothesis agrees so far)
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def check_state_cap(bound: int, state_cap: int) -> None:
         count = f"up to {bound}" if bound <= 2**64 else "more than 2^64"
         raise StateCapError(
             f"chain would have {count} states, above the cap of {state_cap}; "
-            "use the symbolic engine or raise the cap"
+            "raise the cap"
         )
 
 
@@ -258,33 +260,6 @@ def path_probability(mc: MarkovChain, final_index: int) -> float:
     return product
 
 
-QState = tuple  # (values of the layer's frontier, hypothesis flag)
-REJECT = 0  # the query chain's absorbing reject state
-
-
-@dataclass(frozen=True)
-class QueryChain:
-    """The chain of one query, a layered DAG (see the module docstring).
-
-    Index 0 is the reject state, a self-loop; index 1 is the initial state,
-    layer 0. Layer k >= 1 holds the states after `order[k - 1]` is placed,
-    from `layer_start[k]` on; the last layer, a suffix of the indices, is
-    final. A state is the values of `frontiers[k]`, in that order, and
-    whether every hypothesis variable placed so far agrees.
-    """
-
-    order: tuple[int, ...]
-    frontiers: tuple[tuple[int, ...], ...]
-    layer_start: tuple[int, ...]
-    states: tuple[QState | None, ...]  # None at REJECT
-    # The (p, target) edges of every non-final state, in index order.
-    edges: tuple[tuple[tuple[float, int], ...], ...]
-    initial: ClassVar[int] = 1
-
-    def final_indices(self) -> range:
-        return range(len(self.edges), len(self.states))
-
-
 def query_plan(bn: BayesianNetwork) -> tuple[list[int], dict[int, int]]:
     """The order in which both the query chain and symbolic elimination place
     the variables, and its `retire_positions`.
@@ -322,8 +297,8 @@ def retire_positions(bn: BayesianNetwork, order: list[int]) -> dict[int, int]:
 
 
 def query_bound(bn: BayesianNetwork, order: list[int], last: Mapping[int, int]) -> int:
-    """sum_k 2 * prod |D(frontier_k)| + 2, the worst-case size of the query
-    chain with the plan `order`, `last` of `query_plan`.
+    """sum_k 2 * prod |D(frontier_k)| + 2, the worst-case state count of all
+    the query chain's layers with the plan `order`, `last` of `query_plan`.
 
     The frontier's width is kept as a running product, so the bound costs
     O(n) whatever the width.
@@ -341,73 +316,52 @@ def query_bound(bn: BayesianNetwork, order: list[int], last: Mapping[int, int]) 
     return total
 
 
-def build_query_chain(
+def query_layers(
     bn: BayesianNetwork,
     evidence: Assignment,
     hypothesis: Assignment,
     *,
     state_cap: int = DEFAULT_STATE_CAP,
-) -> QueryChain:
-    """The query chain of P(hypothesis | evidence), layer by layer.
+) -> Iterator[tuple[tuple[int, ...], dict[QState, float]]]:
+    """The layers of the query chain of P(hypothesis | evidence), walked one
+    at a time: layer 0, then one per variable of `query_plan`'s order.
 
-    Zero-probability entries get no edge, and the disagreeing values of an
-    evidence variable share one edge to the reject state. Construction
-    refuses outright when the structural bound exceeds `state_cap`. The
-    caller checks that every bound value is in range.
+    Each layer is its frontier and the mass of each of its states, built from
+    the previous layer only. A zero entry or an evidence disagreement passes
+    on no mass. The walk refuses before its first layer when the structural
+    bound exceeds `state_cap`. The caller checks that every bound value is in
+    range.
     """
     order, last = query_plan(bn)
     check_state_cap(query_bound(bn, order, last), state_cap)
-    states: list[QState | None] = [None, ((), True)]
-    edges: list[tuple[tuple[float, int], ...]] = [((1.0, REJECT),)]
     frontier: tuple[int, ...] = ()
-    frontiers = [frontier]
-    layer_start = [1]
+    layer: dict[QState, float] = {((), True): 1.0}
+    yield frontier, layer
     for pos, var_id in enumerate(order):
         cpt = bn.cpts[var_id]
         row_key = _tuple_getter([frontier.index(parent) for parent in cpt.parents])
         keep = _tuple_getter([s for s, u in enumerate(frontier) if last[u] != pos])
         held = last[var_id] > pos
         frontier = keep(frontier) + ((var_id,) if held else ())
-        frontiers.append(frontier)
-        # Per CPT row: its kept (p, value, hypothesis agrees) moves, and the
-        # probability of an evidence disagreement.
+        # Per CPT row: its (p, value, hypothesis agrees) moves with mass, over
+        # every value, or the evidence value alone.
         wanted, expected = evidence.get(var_id), hypothesis.get(var_id)
         moves = {}
         for key, row in cpt.rows.items():
-            if wanted is None:
-                moves[key] = tuple(
-                    (p, d, expected is None or d == expected)
-                    for d, p in enumerate(row)
-                    if p != 0.0
-                ), 0.0
-            else:
-                p = row[wanted]
-                kept = ((p, wanted, expected is None or wanted == expected),)
-                moves[key] = (kept if p != 0.0 else ()), fsum(row) - p
-        start = len(states)
-        layer_start.append(start)
-        index: dict[QState, int] = {}
-        for values, agrees in states[layer_start[-2]:start]:
-            kept, reject = moves[row_key(values)]
+            choices = range(len(row)) if wanted is None else (wanted,)
+            moves[key] = tuple(
+                (row[d], d, expected is None or d == expected)
+                for d in choices
+                if row[d] != 0.0
+            )
+        successor: dict[QState, float] = {}
+        for (values, agrees), m in layer.items():
             base = keep(values)
-            out = []
-            for p, d, hyp_ok in kept:
+            for p, d, hyp_ok in moves[row_key(values)]:
                 target = (base + (d,) if held else base, agrees and hyp_ok)
-                t = index.get(target)
-                if t is None:
-                    t = index[target] = start + len(index)
-                out.append((p, t))
-            if reject:
-                out.append((reject, REJECT))
-            edges.append(tuple(out))
-        states += index
-    return QueryChain(
-        order=tuple(order),
-        frontiers=tuple(frontiers),
-        layer_start=tuple(layer_start),
-        states=tuple(states),
-        edges=tuple(edges),
-    )
+                successor[target] = successor.get(target, 0.0) + m * p
+        layer = successor
+        yield frontier, layer
 
 
 def _tuple_getter(slots: list[int]):

@@ -6,8 +6,8 @@ sweep serves only arbitrary goal sets (`check_prop2`). A conditional query
 needs two masses, and the mass of a binding is the probability of ever
 reaching a state that satisfies it: the sum of the path probabilities that
 `chain.descend` finds in one forward pass, which stops at the layer where
-the binding's deepest variable is fixed. On a query chain both masses come
-from one forward pass to its last layer.
+the binding's deepest variable is fixed. The query chain is walked layer by
+layer and never stored; both masses come from its last layer.
 """
 
 from __future__ import annotations
@@ -128,24 +128,17 @@ def query_chain_conditional(
     """Conditional probability of the hypothesis given the evidence, on the
     query chain of `q`.
 
-    One forward pass over the layered chain gives both masses: the
-    probability of reaching the last layer, which the evidence alone decides,
-    and of reaching it with the hypothesis flag set.
+    The chain is walked one layer at a time, and only the last layer is read:
+    its total mass is the probability of reaching it, which the evidence alone
+    decides, and the mass of its states with the hypothesis flag set is the
+    probability of reaching it with the hypothesis agreeing too.
     """
     check_assignment(bn, q.combined())
-    qc = chain.build_query_chain(bn, q.evidence, q.hypothesis, state_cap=state_cap)
-    mass = [0.0] * len(qc.states)
-    mass[qc.initial] = 1.0
-    edges = qc.edges
-    # An edge leads to the next layer or to the reject state, index 0, whose
-    # mass is never passed on; so one pass in index order is exact.
-    for idx in range(qc.initial, len(edges)):
-        m = mass[idx]
-        for p, target in edges[idx]:
-            mass[target] += m * p
-    final = qc.final_indices()
-    reached = fsum(mass[idx] for idx in final)
-    agreed = fsum(mass[idx] for idx in final if qc.states[idx][1])
+    # Each layer is dropped once the next is built; the loop keeps the last.
+    for _, layer in chain.query_layers(bn, q.evidence, q.hypothesis, state_cap=state_cap):
+        pass
+    reached = fsum(layer.values())
+    agreed = fsum(m for (_, agrees), m in layer.items() if agrees)
     # `conditional` asks for the evidence mass, then the combined one; the
     # two bindings are equal only when the hypothesis adds nothing, and then
     # so are the masses.

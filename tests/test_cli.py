@@ -339,6 +339,18 @@ def test_infer_explicit_cap_is_the_query_chain_bound(bif_path, capsys):
     assert err.startswith("error: chain would have up to 20 states, above the cap of 19")
 
 
+def test_cap_refusal_gives_the_same_true_advice_for_every_command(bif_path, capsys):
+    # `translate` has no other engine to turn to, so the shared message only
+    # says to raise the cap, which both commands accept.
+    code, out, err = run(["translate", bif_path, "--format", "dot", "--state-cap", "5"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "error: chain would have up to 31 states, above the cap of 5; raise the cap\n"
+    query = ["infer", bif_path, "--hyp", "Mood=0", "--engine", "explicit", "--state-cap", "19"]
+    code, out, err = run(query, capsys)
+    assert (code, out) == (4, "")
+    assert err == "error: chain would have up to 20 states, above the cap of 19; raise the cap\n"
+
+
 def test_translate_dot_reports_states(bif_path, tmp_path, capsys):
     out_path = tmp_path / "mc.dot"
     code, out, _ = run(

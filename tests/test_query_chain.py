@@ -1,16 +1,10 @@
 import random
+from itertools import product
 from math import fsum, prod
 
 import pytest
 
-from bnmc.chain import (
-    REJECT,
-    build_mc,
-    build_query_chain,
-    query_bound,
-    query_plan,
-    retire_positions,
-)
+from bnmc.chain import build_mc, query_bound, query_layers, query_plan, retire_positions
 from bnmc.errors import IllConditionedQueryError, StateCapError
 from bnmc.gen import random_network, random_query
 from bnmc.network import ancestors, subnetwork, topological_order
@@ -99,41 +93,75 @@ def test_roots_first_and_chain_is_interleaved():
     assert query_bound(bn, *query_plan(bn)) <= 2 * n * 8 + 2
 
 
-def test_query_chain_layers_hold_only_their_frontier():
+def test_query_layers_hold_only_their_frontier():
     for rng, bn in _networks(11, count=15):
         q = random_query(rng, bn, max_evidence=3)
-        qc = build_query_chain(bn, q.evidence, q.hypothesis)
-        order = qc.order
-        n = len(order)
-        assert len(qc.states) <= query_bound(bn, *query_plan(bn))
-        assert len(qc.frontiers) == len(qc.layer_start) == n + 1
-        ends = qc.layer_start[1:] + (len(qc.states),)
-        for k, (frontier, start, end) in enumerate(zip(qc.frontiers, qc.layer_start, ends)):
-            placed = set(order[:k])
+        order, last = query_plan(bn)
+        layers = list(query_layers(bn, q.evidence, q.hypothesis))
+        assert len(layers) == len(order) + 1
+        # A layer's states are dict keys, so distinct.
+        assert sum(len(layer) for _, layer in layers) <= query_bound(bn, order, last)
+        total = 1.0
+        for k, (frontier, layer) in enumerate(layers):
             # The placed variables with a child still to come, in some order.
             assert sorted(frontier) == sorted(
-                u for u in placed
-                if any(u in bn.cpts[c].parents for c in order[k:])
+                u for u in order[:k] if any(u in bn.cpts[c].parents for c in order[k:])
             )
-            layer = qc.states[start:end]
-            assert len(set(layer)) == len(layer)
-            assert len(layer) <= 2 * prod(len(bn.variables[u].domain) for u in frontier)
-            assert all(len(values) == len(frontier) for values, _ in layer)
-        assert qc.final_indices() == range(qc.layer_start[-1], len(qc.states))
-        for idx, out in enumerate(qc.edges):
-            # A Markov chain: each row sums to 1, and every edge but the
-            # reject state's self-loop leads to the next layer.
-            assert abs(fsum(p for p, _ in out) - 1.0) <= 1e-9
-            assert all(t == REJECT or t > idx for _, t in out)
+            sizes = [len(bn.variables[u].domain) for u in frontier]
+            assert len(layer) <= 2 * prod(sizes)
+            for values, agrees in layer:
+                assert len(values) == len(frontier) and type(agrees) is bool
+                assert all(0 <= d < size for d, size in zip(values, sizes))
+            mass = fsum(layer.values())
+            if not q.evidence:
+                # With no evidence every layer is a distribution.
+                assert abs(mass - 1.0) <= 1e-12
+            # An evidence variable passes on only its value's share.
+            assert mass <= total * (1 + 1e-12)
+            total = mass
 
 
-def test_evidence_disagreement_goes_to_the_reject_state():
+def test_query_layer_masses_are_marginals_of_the_placed_variables():
+    # Each state's mass is the probability of the assignments to the placed
+    # variables that agree with the evidence and give the state's frontier
+    # values and hypothesis flag; states with no such assignment are absent.
+    for rng, bn in _networks(13, count=8):
+        q = random_query(rng, bn, max_evidence=3)
+        order, _ = query_plan(bn)
+        domains = [range(len(v.domain)) for v in bn.variables]
+        for k, (frontier, layer) in enumerate(query_layers(bn, q.evidence, q.hypothesis)):
+            placed = order[:k]
+            expected: dict = {}
+            for values in product(*(domains[u] for u in placed)):
+                a = dict(zip(placed, values))
+                if any(a[u] != d for u, d in q.evidence.items() if u in a):
+                    continue
+                p = prod(
+                    bn.cpts[u].rows[tuple(a[w] for w in bn.cpts[u].parents)][a[u]] for u in placed
+                )
+                if p != 0.0:
+                    key = (
+                        tuple(a[u] for u in frontier),
+                        all(a[u] == d for u, d in q.hypothesis.items() if u in a),
+                    )
+                    expected[key] = expected.get(key, 0.0) + p
+            assert layer.keys() == expected.keys()
+            assert all(abs(layer[key] - m) <= 1e-12 for key, m in expected.items())
+
+
+def test_single_variable_layers_are_pinned():
     bn = single_var_bn(0.3)
-    qc = build_query_chain(bn, {0: 1}, {})
-    assert qc.states == (None, ((), True), ((), True))
-    assert qc.edges == (((1.0, REJECT),), ((0.3, 2), (0.7, REJECT)))
-    qc = build_query_chain(bn, {}, {0: 1})
-    assert qc.states[2:] == (((), False), ((), True))
+    # x has no child, so no value is held; an evidence disagreement and a
+    # zero entry pass on no mass.
+    assert list(query_layers(bn, {0: 1}, {})) == [((), {((), True): 1.0}), ((), {((), True): 0.3})]
+    assert list(query_layers(bn, {}, {0: 1})) == [
+        ((), {((), True): 1.0}),
+        ((), {((), False): 0.7, ((), True): 0.3}),
+    ]
+    assert list(query_layers(single_var_bn(0.0), {0: 1}, {})) == [
+        ((), {((), True): 1.0}),
+        ((), {}),
+    ]
     assert query_chain_conditional(bn, ReachQuery(evidence={0: 1})) == 1.0
     assert query_chain_conditional(bn, ReachQuery(hypothesis={0: 1})) == 0.3
 
@@ -153,7 +181,8 @@ def test_cap_refuses_by_the_structural_bound():
     bn = chain_bn(12)
     bound = query_bound(bn, *query_plan(bn))
     assert bound == 11 * 4 + 2 + 2
-    qc = build_query_chain(bn, {11: 1}, {0: 0}, state_cap=bound)
-    assert len(qc.states) <= bound
+    layers = list(query_layers(bn, {11: 1}, {0: 0}, state_cap=bound))
+    assert sum(len(layer) for _, layer in layers) <= bound
+    # The refusal comes before the first layer.
     with pytest.raises(StateCapError, match=f"up to {bound} states, above the cap of {bound - 1}"):
-        build_query_chain(bn, {11: 1}, {0: 0}, state_cap=bound - 1)
+        next(query_layers(bn, {11: 1}, {0: 0}, state_cap=bound - 1))
