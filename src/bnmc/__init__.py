@@ -51,7 +51,6 @@ from .psdd import (
 from .reach import ReachQuery, check_prop2, conditional_query, reach_probability
 from .symbolic import (
     BenchResult,
-    BitEncoding,
     SymbolicBn,
     bench_evidence,
     compile_network,

@@ -1,11 +1,12 @@
 """Translation of a Bayesian network into its tree-like Markov chain, and the
 walk of the query chain of one conditional query.
 
-States are partial evaluations over the variables in topological order;
-`None` stands for the don't-care placeholder (rendered as `*`). The bound
-positions of every reachable state form a prefix of the order, so each
-expansion step fixes exactly the next variable and its parents are always
-evaluated already.
+States are partial evaluations over the variables in topological order.
+The bound positions of every reachable state form a prefix of the order, so
+a state is stored as the tuple of its bound values: the initial state is
+`()`, layer k holds k-tuples, and a position past the end is the don't-care
+placeholder (rendered as `*`). Each expansion step fixes exactly the next
+variable, appending its value, and its parents are always evaluated already.
 
 The chain is stored the way BFS insertion lays it out, as a sparse
 row-grouped matrix: the children of a state are one contiguous run of
@@ -57,7 +58,7 @@ from .network import Assignment, BayesianNetwork, check_assignment, topological_
 
 DEFAULT_STATE_CAP = 10_000_000
 
-McState = tuple  # of int | None, one slot per variable in chain order
+McState = tuple  # of int: the bound values, a prefix of the chain order
 Edge = tuple  # (p, offset): a child's probability and its place in the run
 QState = tuple  # (values of the layer's frontier, hypothesis agrees so far)
 
@@ -86,12 +87,10 @@ class MarkovChain:
         return tuple((p, first + offset) for p, offset in self.edges[state_index])
 
     def depth(self, state_index: int) -> int:
-        return sum(1 for d in self.states[state_index] if d is not None)
+        return len(self.states[state_index])
 
     def is_final(self, state_index: int) -> bool:
-        # Bound slots form a prefix of the order, so the last slot decides.
-        state = self.states[state_index]
-        return not state or state[-1] is not None
+        return len(self.states[state_index]) == len(self.order)
 
     def final_indices(self) -> range:
         # Every state before the last layer has a first child.
@@ -99,16 +98,12 @@ class MarkovChain:
 
     def assignment_of(self, state_index: int) -> dict[int, int]:
         """Bound variables of a state as an assignment keyed by variable id."""
-        return {
-            self.order[pos]: d
-            for pos, d in enumerate(self.states[state_index])
-            if d is not None
-        }
+        return dict(zip(self.order, self.states[state_index]))
 
     def render_state(self, state_index: int) -> str:
-        return "(" + ",".join(
-            "*" if d is None else str(d) for d in self.states[state_index]
-        ) + ")"
+        state = self.states[state_index]
+        unset = ["*"] * (len(self.order) - len(state))
+        return "(" + ",".join([*map(str, state), *unset]) + ")"
 
 
 def size_bound(bn: BayesianNetwork) -> int:
@@ -148,24 +143,22 @@ def build_mc(
     """
     order = tuple(topological_order(bn))
     check_state_cap(prefix_bound(len(bn.variables[v].domain) for v in order), state_cap)
-    n = len(order)
     position = {v: i for i, v in enumerate(order)}
 
-    states: list[McState] = [(None,) * n]
+    states: list[McState] = [()]
     first_child: list[int] = []
     edges: list[tuple[Edge, ...]] = []
     edge_of: list[tuple[Edge | None, ...]] = []
     start = 0
-    for depth, var_id in enumerate(order):
+    for var_id in order:
         cpt = bn.cpts[var_id]
         size = len(bn.variables[var_id].domain)
-        pad = (None,) * (n - depth - 1)
-        tails = [(v,) + pad for v in range(size)]
+        tails = [(v,) for v in range(size)]
         slots = [position[parent] for parent in cpt.parents]
         # Per CPT row, keyed as itemgetter(*slots) reads a state (one slot
         # gives the value itself): its kept edges in value order and indexed
-        # by value, and its children's tails. A child is its parent's bound
-        # prefix, then a tail.
+        # by value, and its children's tails. A child is its parent followed
+        # by a tail, the child's own value.
         row_edges, row_edge_of, row_tails = {}, {}, {}
         for key, row in cpt.rows.items():
             if len(slots) == 1:
@@ -192,10 +185,8 @@ def build_mc(
         edges += layer_edges
         edge_of += map(row_edge_of.__getitem__, keys)
         states += [
-            prefix + tail
-            for prefix, children in zip(
-                map(itemgetter(slice(depth)), layer), map(row_tails.__getitem__, keys)
-            )
+            parent + tail
+            for parent, children in zip(layer, map(row_tails.__getitem__, keys))
             for tail in children
         ]
     return MarkovChain(

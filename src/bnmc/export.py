@@ -30,10 +30,12 @@ def _conj(terms: list[dict]) -> dict:
 
 
 def _guard(mc: MarkovChain, state_index: int) -> dict:
+    """Every variable equals its bound value, or |D| past the state's end."""
+    state = mc.states[state_index]
     terms = []
-    for pos, value in enumerate(mc.states[state_index]):
-        size = len(mc.network.variables[mc.order[pos]].domain)
-        terms.append(_eq(_var_name(mc, pos), size if value is None else value))
+    for pos, var_id in enumerate(mc.order):
+        unset = len(mc.network.variables[var_id].domain)
+        terms.append(_eq(_var_name(mc, pos), state[pos] if pos < len(state) else unset))
     return _conj(terms)
 
 

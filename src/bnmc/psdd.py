@@ -4,11 +4,13 @@ Only validation and evaluation of structures loaded from the repo's text
 formats are supported; compiling a network or formula into a PSDD is out of
 scope. See docs/formats.md for the file grammar.
 
-A diagram is immutable after parsing. Every record is declared after the
-records it references, so both evaluations are one pass over the nodes in
-declaration order: assignment probability follows the decision semantics
-(the unique satisfied prime selects the element), and term probability sums
-over every element.
+A diagram is immutable after parsing, and normalized: every prime sits at
+its decision's left vtree child and every sub at its right one (a bottom
+terminal anywhere), so each node is over exactly its vtree node's
+variables. Every record is declared after the records it references, so
+both evaluations are one pass over the nodes in declaration order:
+assignment probability follows the decision semantics (the unique satisfied
+prime selects the element), and term probability sums over every element.
 """
 
 from __future__ import annotations
@@ -178,14 +180,6 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
     vtree = parse_vtree(vtree_text)
     nodes: dict[int, PsddNode] = {}
     last_id: int | None = None
-    # Vtree node x lies in the subtree at a exactly when its pre-order index
-    # falls in a's span first[a]..last[a].
-    order = vtree.descendants(vtree.root)
-    first = {nid: i for i, nid in enumerate(order)}
-    last: dict[int, int] = {}
-    for nid in reversed(order):
-        vnode = vtree.nodes[nid]
-        last[nid] = first[nid] if vnode.is_leaf else last[vnode.right]
 
     def check_vtree_id(lineno: int, vid: int) -> VtreeNode:
         if vid not in vtree.nodes:
@@ -248,19 +242,21 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
                     prime = int(parts[4 + 3 * j])
                     sub = int(parts[5 + 3 * j])
                     theta = float(parts[6 + 3 * j])
-                    for child, side, under in (
-                        (prime, "prime", inner.left),
-                        (sub, "sub", inner.right),
+                    # Normalized (Kisa et al. 2014): a prime sits at the left
+                    # child, a sub at the right; a bottom, of mass 0, anywhere.
+                    for child, side, branch, under in (
+                        (prime, "prime", "left", inner.left),
+                        (sub, "sub", "right", inner.right),
                     ):
                         if child not in nodes:
                             raise PsddParseError(
                                 f"psdd line {lineno}: dangling id {child}"
                             )
-                        at = first[nodes[child].vtree_id]
-                        if not first[under] <= at <= last[under]:
+                        if nodes[child].kind != BOTTOM and nodes[child].vtree_id != under:
                             raise PsddParseError(
                                 f"psdd line {lineno}: {side} {child} does not respect "
-                                f"the {side} subtree of vtree node {vid}"
+                                f"vtree node {under}, the {branch} child of vtree "
+                                f"node {vid}"
                             )
                     if not 0.0 <= theta <= 1.0:  # also rejects NaN
                         raise PsddParseError(
@@ -295,6 +291,8 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
     if last_id is None:
         raise PsddParseError("empty psdd")
     root = nodes[last_id]
+    if root.kind == BOTTOM:
+        raise PsddParseError(f"root node {root.id} is a bottom terminal, of mass 0")
     if root.vtree_id != vtree.root:
         raise PsddParseError(
             f"root node {root.id} respects vtree node {root.vtree_id}, "

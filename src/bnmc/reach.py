@@ -146,9 +146,11 @@ def query_chain_conditional(
 
 
 def _satisfies(mc: MarkovChain, state_index: int, binding: Mapping[int, int]) -> bool:
+    # A position past the state's end is unset and matches no value.
     state = mc.states[state_index]
     for var_id, value in binding.items():
-        if state[mc.position[var_id]] != value:
+        pos = mc.position[var_id]
+        if pos >= len(state) or state[pos] != value:
             return False
     return True
 

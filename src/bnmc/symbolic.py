@@ -30,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
 from .chain import query_plan, retire_positions
 from .errors import IllConditionedQueryError
@@ -43,31 +43,9 @@ def _width(domain_size: int) -> int:
     return (domain_size - 1).bit_length() if domain_size > 1 else 0
 
 
-@dataclass(frozen=True)
-class BitEncoding:
-    order: tuple[str, ...]  # all bit labels, manager order
-    bits: Mapping[int, tuple[str, ...]]  # variable id -> labels, msb first
-    levels: Mapping[int, range]  # variable id -> manager levels, msb first
-
-    @classmethod
-    def from_network(
-        cls, bn: BayesianNetwork, order: Sequence[int]
-    ) -> "BitEncoding":
-        labels: list[str] = []
-        bits: dict[int, tuple[str, ...]] = {}
-        levels: dict[int, range] = {}
-        for var_id in order:
-            v = bn.variables[var_id]
-            own = tuple(f"{v.name}[{k}]" for k in range(_width(len(v.domain))))
-            bits[var_id] = own
-            levels[var_id] = range(len(labels), len(labels) + len(own))
-            labels.extend(own)
-        return cls(order=tuple(labels), bits=bits, levels=levels)
-
-    def pattern(self, var_id: int, value: int) -> tuple[int, ...]:
-        """Bit pattern of a domain value index, msb first."""
-        width = len(self.bits[var_id])
-        return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
+def _pattern(value: int, width: int) -> tuple[int, ...]:
+    """Bit pattern of a domain value index over `width` bits, msb first."""
+    return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
 
 
 @dataclass(frozen=True)
@@ -82,8 +60,8 @@ class SymbolicBn:
     network: BayesianNetwork
     order: tuple[int, ...]  # the diagram's variable order
     plan: tuple[int, ...]  # the elimination order, `chain.query_plan`'s
-    manager: MtbddManager
-    encoding: BitEncoding
+    manager: MtbddManager  # holds the bit labels, in level order
+    levels: Mapping[int, range]  # variable id -> its bits' levels, msb first
     cpt_refs: Mapping[int, NodeRef]
     # sorted binding items -> mass
     masses: dict[tuple[tuple[int, int], ...], float] = field(
@@ -107,13 +85,13 @@ class SymbolicBn:
 
 def _table_diagram(
     mgr: MtbddManager,
-    encoding: BitEncoding,
+    levels: Mapping[int, range],
     bn: BayesianNetwork,
     var_id: int,
 ) -> NodeRef:
     """Diagram over the owner's and parents' bits yielding the row probability."""
     cpt = bn.cpts[var_id]
-    scope = sorted((*cpt.parents, var_id), key=lambda w: encoding.levels[w].start)
+    scope = sorted((*cpt.parents, var_id), key=lambda w: levels[w].start)
     sizes = [len(bn.variables[w].domain) for w in scope]
     parents = [scope.index(p) for p in cpt.parents]
     owner = scope.index(var_id)
@@ -131,12 +109,11 @@ def _table_diagram(
     # Scope variables are merged from the last level up, so both children of
     # a new node lie below its level and `_mk` needs none of `node`'s checks.
     for w, size in zip(reversed(scope), reversed(sizes)):
-        levels = encoding.levels[w]
-        pad = [zero] * ((1 << len(levels)) - size)
+        pad = [zero] * ((1 << len(levels[w])) - size)
         if pad:
             runs = (nodes[k : k + size] + pad for k in range(0, len(nodes), size))
             nodes = [n for run in runs for n in run]
-        for level in reversed(levels):
+        for level in reversed(levels[w]):
             nodes = [mgr._mk(level, lo, hi) for lo, hi in zip(nodes[0::2], nodes[1::2])]
     return nodes[0]
 
@@ -148,26 +125,32 @@ def compile_network(bn: BayesianNetwork) -> SymbolicBn:
     topological order.
     """
     order = tuple(topological_order(bn))
-    encoding = BitEncoding.from_network(bn, order)
-    mgr = MtbddManager(encoding.order)
-    cpt_refs = {v: _table_diagram(mgr, encoding, bn, v) for v in order}
+    labels: list[str] = []
+    levels: dict[int, range] = {}
+    for var_id in order:
+        v = bn.variables[var_id]
+        width = _width(len(v.domain))
+        levels[var_id] = range(len(labels), len(labels) + width)
+        labels += (f"{v.name}[{k}]" for k in range(width))
+    mgr = MtbddManager(labels)
+    cpt_refs = {v: _table_diagram(mgr, levels, bn, v) for v in order}
     return SymbolicBn(
         network=bn,
         order=order,
         plan=tuple(query_plan(bn)[0]),
         manager=mgr,
-        encoding=encoding,
+        levels=levels,
         cpt_refs=cpt_refs,
     )
 
 
 def bits_of_assignment(sym: SymbolicBn, assignment: Mapping[int, int]) -> dict[str, int]:
     """Bit evaluation (label -> 0/1) of an assignment over network variables."""
+    labels = sym.manager.variables
     out: dict[str, int] = {}
     for var_id, value in assignment.items():
-        pattern = sym.encoding.pattern(var_id, value)
-        for label, bit in zip(sym.encoding.bits[var_id], pattern):
-            out[label] = bit
+        levels = sym.levels[var_id]
+        out.update(zip(map(labels.__getitem__, levels), _pattern(value, len(levels))))
     return out
 
 
@@ -186,9 +169,11 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
     hit = sym.masses.get(key)
     if hit is not None:
         return hit
-    mgr, cpts, bits = sym.manager, sym.network.cpts, sym.encoding.bits
-    levels, pattern = sym.encoding.levels, sym.encoding.pattern
-    bound = {w: tuple(zip(levels[w], pattern(w, d))) for w, d in binding.items()}
+    mgr, cpts, levels = sym.manager, sym.network.cpts, sym.levels
+    labels = mgr.variables
+    bound = {
+        w: tuple(zip(levels[w], _pattern(d, len(levels[w])))) for w, d in binding.items()
+    }
     plan = list(filter(ancestors(sym.network, binding).__contains__, sym.plan))
     retire = retire_positions(sym.network, plan)
     buckets: list[list[tuple[NodeRef, frozenset[int]]]] = [[] for _ in plan]
@@ -214,7 +199,7 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
                 node = mgr.apply("*", node, other)
                 free |= other_free
             gone = [w for w in free if retire[w] == pos]
-            node = mgr.sum_abstract(node, (b for w in gone for b in bits[w]))
+            node = mgr.sum_abstract(node, (labels[b] for w in gone for b in levels[w]))
             place(node, free.difference(gone))
     sym.masses[key] = mass
     return mass

@@ -18,6 +18,7 @@ from bnmc.chain import (
     size_bound,
 )
 from bnmc.errors import MalformedQueryError, StateCapError
+from bnmc.export import export_dot, export_jani
 from bnmc.gen import random_network
 from bnmc.network import Cpt, Variable, joint_probability, network_from_cpts
 from bnmc.reach import ReachQuery, conditional_query
@@ -68,7 +69,7 @@ def test_empty_network_chain():
 def test_initial_state_all_dont_care(student_mood):
     mc = build_mc(student_mood)
     assert mc.initial == 0
-    assert mc.states[0] == (None, None, None, None)
+    assert mc.states[0] == ()
     assert mc.render_state(0) == "(*,*,*,*)"
 
 
@@ -199,25 +200,23 @@ def test_children_bind_next_variable(student_mood):
     for idx, row in enumerate(_successors(mc)):
         if mc.is_final(idx):
             continue
-        depth = mc.depth(idx)
-        for _, target in row:
-            child = mc.states[target]
-            assert child[depth] is not None
-            assert child[: depth] == mc.states[idx][: depth]
-            assert all(d is None for d in child[depth + 1 :])
+        parent = mc.states[idx]
+        for value, (_, target) in enumerate(row):
+            assert mc.states[target] == parent + (value,)
 
 
 def test_build_mc_pinned_digest():
-    # States and transitions over seeded networks, pinned so that a rewrite
-    # of build_mc leaves the Jani and dot exports byte-identical.
+    # The Jani and dot exports of seeded networks, pinned so that a rewrite
+    # of build_mc or of the state layout leaves them byte-identical.
     rng = random.Random(101)
     digest = hashlib.sha256()
     for i in range(20):
         bn = random_network(rng, max_vars=6, max_domain=3, zero_entry_prob=0.3)
         mc = build_mc(bn, keep_zero_edges=bool(i % 2))
-        digest.update(repr((mc.states, _successors(mc))).encode())
+        digest.update(export_jani(mc).encode())
+        digest.update(export_dot(mc).encode())
     assert digest.hexdigest() == (
-        "502d82e65bd993f8e601afe5f0dcd524582e7967f40fb8a75ff64e473b2a1783"
+        "100055d931629a14777be1cf77fb0333e353a6d1927f53811a75dcd3cebb50b8"
     )
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -47,6 +48,30 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CHILD_ADDRESS_SPACE = 1 << 30  # bytes, as the benchmark caps its own runs
+
+
+def run_child(args, *, timeout=60):
+    """`bnmc args` as `python -m bnmc.cli` in a child process capped at
+    CHILD_ADDRESS_SPACE, so a walk that grows without bound fails within
+    `timeout` seconds, as a MemoryError or a TimeoutExpired, instead of
+    holding the suite."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "bnmc.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit,
+        timeout=timeout,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_stats_row(bif_path, capsys):
@@ -274,7 +299,7 @@ def test_infer_symbolic_on_an_1100_bit_chain(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("network", ["chain", "and_chain", "copy_chain"])
-def test_infer_explicit_answers_where_the_tree_is_refused(tmp_path, capsys, network):
+def test_infer_explicit_answers_where_the_tree_is_refused(tmp_path, network):
     # Each tree has more than 2^64 states; each query chain at most 8 a layer.
     from conftest import and_chain_bn, chain_bn, chain_forward, copy_chain_bn
 
@@ -292,12 +317,12 @@ def test_infer_explicit_answers_where_the_tree_is_refused(tmp_path, capsys, netw
         expected = 1.0
     path = tmp_path / "net.bif"
     path.write_text(write_bif(bn), encoding="utf-8")
-    code, out, err = run(["infer", str(path), *query, "--engine", "explicit"], capsys)
+    code, out, err = run_child(["infer", str(path), *query, "--engine", "explicit"])
     assert code == 0, err
     assert abs(float(out) - expected) <= 1e-12 * expected
 
 
-def test_infer_scalable_engines_answer_a_1000_gate_and_chain(tmp_path, capsys):
+def test_infer_scalable_engines_answer_a_1000_gate_and_chain(tmp_path):
     # Both engines place each root just before its gate, so each layer or
     # message holds at most two values.
     from conftest import and_chain_bn
@@ -305,7 +330,7 @@ def test_infer_scalable_engines_answer_a_1000_gate_and_chain(tmp_path, capsys):
     path = tmp_path / "and.bif"
     path.write_text(write_bif(and_chain_bn(1000)), encoding="utf-8")
     for engine in ("explicit", "symbolic"):
-        code, out, err = run(["infer", str(path), "--hyp", "y999=1", "--engine", engine], capsys)
+        code, out, err = run_child(["infer", str(path), "--hyp", "y999=1", "--engine", engine])
         assert code == 0, (engine, err)
         assert abs(float(out) - 0.9**1000) <= 1e-12 * 0.9**1000, engine
 

@@ -1,10 +1,13 @@
 import gc
 import weakref
 from itertools import product
+from math import fsum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bnmc import fixtures
+from bnmc import cli, fixtures
 from bnmc.errors import EnumerationCapError, MalformedQueryError, PsddError, PsddParseError
 from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.psdd import (
@@ -92,16 +95,24 @@ def test_parse_rejects_vtree_respect_violation():
 
 
 DIF_LITERALS = "L 0 0 Dif\nL 1 0 !Dif\nT 2 6 0.5\nD 3 1 2 0 2 0.5 1 2 0.5\n"
+# The same root over a sub normalized for vtree node 3: Prep, Grade and Mood
+# independent, each a terminal at its own leaf.
+DIF_NORMALIZED = (
+    "L 0 0 Dif\nL 1 0 !Dif\nT 10 2 0.5\nT 11 4 0.5\nT 12 6 0.5\n"
+    "D 13 5 1 11 12 1.0\nD 14 3 1 10 13 1.0\nD 3 1 2 0 14 0.5 1 14 0.5\n"
+)
 
 
 @pytest.mark.parametrize(
     "text, error",
     [
-        # A sub may sit anywhere under the right subtree, not only at its root.
-        (DIF_LITERALS, None),
+        # A sub deeper in the right subtree than its root is not normalized:
+        # its distribution leaves Prep and Grade out.
+        (DIF_LITERALS, "sub 2 does not respect vtree node 3, the right child"),
+        (DIF_NORMALIZED, None),
         (DIF_LITERALS.replace("0 Dif", "2 Prep"), "prime 0 does not respect"),
         # The decision's own vtree node is above its right subtree.
-        (DIF_LITERALS + "D 4 1 2 0 3 0.5 1 3 0.5\n", "sub 3 does not respect"),
+        (DIF_NORMALIZED + "D 4 1 2 0 3 0.5 1 3 0.5\n", "sub 3 does not respect"),
     ],
 )
 def test_parse_checks_respect_against_whole_subtrees(text, error):
@@ -141,9 +152,11 @@ def test_parse_accepts_zero_theta_with_bottom_sub():
         (PAIR_VTREE, "L 0 0 x\nL 0 0 !x\n", "psdd line 2: duplicate node id 0"),
         (PAIR_VTREE, "c no nodes\n", "empty psdd"),
         (PAIR_VTREE, "L 0 0 x\n", "root node 0 respects vtree node 0, not the vtree root 1"),
+        (SINGLE_VTREE, "B 0 0\n", "root node 0 is a bottom terminal, of mass 0"),
     ],
     ids=["empty-vtree", "shared-vtree-child", "unknown-vtree-id", "bottom-above-leaf",
-         "terminal-above-leaf", "duplicate-node", "empty-psdd", "root-below-vtree-root"],
+         "terminal-above-leaf", "duplicate-node", "empty-psdd", "root-below-vtree-root",
+         "bottom-root"],
 )
 def test_parse_refusals_pinned(vtree_text, psdd_text, message):
     with pytest.raises(PsddParseError) as info:
@@ -358,14 +371,134 @@ def test_compare_with_bn_requires_complete_mapping(student_mood, student_mood_ps
         compare_with_bn(student_mood_psdd, sym, {0: "Dif"})
 
 
-def _split_on_x0(n: int):
-    """A right-linear vtree over x0..x{n-1}, n >= 2, and a PSDD whose root
-    splits on x0 above a terminal of x{n-1}."""
+def _right_linear_vtree(n: int) -> str:
+    """x0..x{n-1}, n >= 2: internal node 2i has leaf x{i} (id 2i + 1) on its
+    left, and x{n-1} is the leaf 2n - 2."""
     vtree = [f"L {2 * n - 2} x{n - 1}"]
     for i in range(n - 1):
         vtree += [f"L {2 * i + 1} x{i}", f"I {2 * i} {2 * i + 1} {2 * i + 2}"]
+    return "\n".join(vtree)
+
+
+def _split_on_x0_text(n: int) -> tuple[str, str]:
+    """The vtree and PSDD texts of a root that splits on x0 above a terminal
+    of x{n-1}; normalized only for n = 2, as the terminal skips x1..x{n-2}."""
     psdd = f"L 0 1 x0\nL 1 1 !x0\nT 2 {2 * n - 2} 0.5\nD 3 0 2 0 2 0.5 1 2 0.5\n"
-    return parse_psdd("\n".join(vtree), psdd)
+    return _right_linear_vtree(n), psdd
+
+
+def _split_on_x0(n: int):
+    return parse_psdd(*_split_on_x0_text(n))
+
+
+def test_psdd_eval_refuses_a_sub_that_skips_variables(tmp_path, capsys):
+    # The terminal of x2 stands for the sub over x1 and x2, so the diagram
+    # would count each x1 value once: its assignments would sum to 2.
+    vtree, diagram = tmp_path / "split.vtree", tmp_path / "split.psdd"
+    for path, text in zip((vtree, diagram), _split_on_x0_text(3)):
+        path.write_text(text, encoding="utf-8")
+    assert cli.main(["psdd-eval", str(vtree), str(diagram)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: psdd line 4: sub 2 does not respect vtree node 2, "
+        "the right child of vtree node 0\n"
+    )
+
+
+@st.composite
+def _vtree_and_psdd(draw):
+    """A vtree over 1-4 variables and a normalized PSDD over it, in which one
+    record's vtree id, or one decision's prime or sub, may then be replaced
+    by a drawn one."""
+    names = draw(st.permutations([f"x{i}" for i in range(draw(st.integers(1, 4)))]))
+    vtree_lines, children = [], {}
+
+    def build(labels):
+        nid = len(vtree_lines)  # a vtree node's id is its line's index
+        if len(labels) == 1:
+            vtree_lines.append(f"L {nid} {labels[0]}")
+        else:
+            vtree_lines.append(None)
+            cut = draw(st.integers(1, len(labels) - 1))
+            children[nid] = (build(labels[:cut]), build(labels[cut:]))
+            vtree_lines[nid] = f"I {nid} {children[nid][0]} {children[nid][1]}"
+        return nid
+
+    build(names)
+    label = {nid: line.split()[2] for nid, line in enumerate(vtree_lines) if nid not in children}
+    records: list[list] = []
+
+    def record(*fields) -> int:
+        records.append([fields[0], len(records), *fields[1:]])
+        return len(records) - 1
+
+    def theta():
+        return draw(st.sampled_from([0.25, 0.5, 0.9]))
+
+    def diagram(vid: int, total: bool) -> int:
+        """A node normalized for `vid`, whose base is every model when `total`."""
+        if vid not in children:
+            kind = "T" if total else draw(st.sampled_from(["T", "L", "!L"]))
+            if kind == "T":
+                return record("T", vid, theta())
+            return record("L", vid, kind[:-1] + label[vid])
+        left, right = children[vid]
+        if left in children:
+            primes = [diagram(left, True)]
+        elif draw(st.booleans()):
+            primes = [record("L", left, label[left]), record("L", left, "!" + label[left])]
+        else:
+            primes = [record("T", left, theta())]
+        subs = [diagram(right, total) for _ in primes]
+        weights = [draw(st.integers(1, 3)) for _ in primes]
+        if not total and len(primes) > 1 and draw(st.booleans()):
+            # A bottom of mass 0 may sit at any leaf.
+            subs[0], weights[0] = record("B", draw(st.sampled_from(sorted(label)))), 0
+        elements = []
+        for prime, sub, w in zip(primes, subs, weights):
+            elements += [prime, sub, w / sum(weights)]
+        return record("D", vid, len(primes), *elements)
+
+    diagram(0, False)
+    decisions = [fields for fields in records if fields[0] == "D"]
+    mutation = draw(st.sampled_from(["none", "vtree id", "child"] if decisions else ["none"]))
+    if mutation == "vtree id":
+        draw(st.sampled_from(records))[2] = draw(st.sampled_from(range(len(vtree_lines))))
+    elif mutation == "child":
+        fields = draw(st.sampled_from(decisions))
+        slots = [4 + 3 * j + side for j in range(fields[3]) for side in (0, 1)]
+        slot = draw(st.sampled_from(slots))
+        fields[slot] = draw(st.sampled_from(range(fields[1])))
+    psdd_text = "\n".join(" ".join(map(str, fields)) for fields in records)
+    return "\n".join(vtree_lines), psdd_text, sorted(names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_vtree_and_psdd())
+def test_accepted_psdds_are_distributions(drawn):
+    vtree_text, psdd_text, names = drawn
+    try:
+        p = parse_psdd(vtree_text, psdd_text)
+    except PsddParseError:
+        return
+    if not validate_partition(p).ok:
+        return
+    total = fsum(
+        prob_assignment(p, dict(zip(names, bits))) for bits in product((0, 1), repeat=len(names))
+    )
+    assert abs(total - 1.0) <= 1e-9
+
+
+def _uniform_psdd(n: int):
+    """x0..x{n-1} independent and uniform, normalized for the right-linear
+    vtree: node 2i holds one element, a terminal of x{i} and the rest."""
+    lines = [f"T {2 * n - 2} {2 * n - 2} 0.5"]
+    sub = 2 * n - 2
+    for i in reversed(range(n - 1)):
+        lines += [f"T {2 * i + 1} {2 * i + 1} 0.5", f"D {2 * i} {2 * i} 1 {2 * i + 1} {sub} 1.0"]
+        sub = 2 * i
+    return parse_psdd(_right_linear_vtree(n), "\n".join(lines))
 
 
 def _uniform_sym(n: int, size: int = 2):
@@ -406,7 +539,7 @@ def _uniform_sym(n: int, size: int = 2):
         ),
         (
             lambda p: compare_with_bn(
-                _split_on_x0(21), _uniform_sym(21), {i: f"x{i}" for i in range(21)}
+                _uniform_psdd(21), _uniform_sym(21), {i: f"x{i}" for i in range(21)}
             ),
             EnumerationCapError,
             "21 variables exceed the comparison limit",

@@ -20,7 +20,6 @@ from bnmc.network import (
 from bnmc.oracle import oracle_infer
 from bnmc.reach import ReachQuery
 from bnmc.symbolic import (
-    BitEncoding,
     _restricted_mass,
     bench_evidence,
     bits_of_assignment,
@@ -37,10 +36,10 @@ def three_valued_bn():
 
 
 def test_encoding_widths():
-    bn = three_valued_bn()
-    enc = BitEncoding.from_network(bn, (0,))
-    assert enc.bits[0] == ("w[0]", "w[1]")
-    assert enc.pattern(0, 2) == (1, 0)
+    sym = compile_network(three_valued_bn())
+    assert sym.manager.variables == ("w[0]", "w[1]")
+    assert sym.levels[0] == range(2)
+    assert bits_of_assignment(sym, {0: 2}) == {"w[0]": 1, "w[1]": 0}
 
 
 def test_compile_joint_quoted_path_value(student_mood_dpg):
@@ -338,7 +337,7 @@ def test_63_bit_network_compiles_and_answers():
     variables = [Variable(id=i, name=f"v{i}", domain=("0", "1")) for i in range(63)]
     cpts = [Cpt(owner=i, parents=(), rows={(): (0.5, 0.5)}) for i in range(63)]
     sym = compile_network(network_from_cpts("wide", variables, cpts))
-    assert len(sym.encoding.order) == 63
+    assert len(sym.manager.variables) == 63
     assert infer(sym, ReachQuery(evidence={62: 0}, hypothesis={0: 1})) == 0.5
 
 
@@ -353,7 +352,7 @@ def test_matches_oracle_on_networks_wider_than_62_bits():
             zero_entry_prob=0.01,
         )
         sym = compile_network(bn)
-        widths.append(len(sym.encoding.order))
+        widths.append(len(sym.manager.variables))
         for _ in range(3):
             ids = list(range(70))
             rng.shuffle(ids)
