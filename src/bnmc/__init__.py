@@ -18,7 +18,6 @@ from .errors import (
     EnumerationCapError,
     IllConditionedQueryError,
     MalformedQueryError,
-    PathCapError,
     PsddError,
     PsddParseError,
     StateCapError,

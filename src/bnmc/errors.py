@@ -32,10 +32,6 @@ class StateCapError(CapError):
     """Explicit Markov-chain construction would exceed the state cap."""
 
 
-class PathCapError(CapError):
-    """Path enumeration would exceed the path cap."""
-
-
 class EnumerationCapError(CapError):
     """Exhaustive enumeration would exceed the assignment cap."""
 

@@ -22,8 +22,9 @@ def _eq(var: str, value: int) -> dict:
     return {"op": "=", "left": var, "right": value}
 
 
-def _conj(terms: list[dict]) -> dict:
-    expr = terms[0]
+def _conj(terms: list[dict]) -> dict | bool:
+    # An empty conjunction is the Jani literal true.
+    expr = terms[0] if terms else True
     for term in terms[1:]:
         expr = {"op": "∧", "left": expr, "right": term}
     return expr

@@ -2,9 +2,10 @@
 
 The chain is acyclic apart from final self-loops, so a single backward sweep
 in reverse insertion order is exact; no iterative solving is needed. The
-sweep serves only arbitrary goal sets (`check_prop2`). A conditional query
-needs two masses, and the mass of a binding is the probability of ever
-reaching a state that satisfies it: the sum of the path probabilities that
+sweep serves only arbitrary goal sets: the right side of `check_prop2`, whose
+left side is one forward pass over the tree. A conditional query needs two
+masses, and the mass of a binding is the probability of ever reaching a
+state that satisfies it: the sum of the path probabilities that
 `chain.descend` finds in one forward pass, which stops at the layer where
 the binding's deepest variable is fixed. The query chain is walked layer by
 layer and never stored; both masses come from its last layer.
@@ -20,13 +21,14 @@ from . import chain
 from .chain import MarkovChain
 # benchmarks/tracing.py wraps reach.final_states and reach.reach_probability by name.
 from .chain import final_states  # noqa: F401
-from .errors import IllConditionedQueryError, MalformedQueryError, PathCapError
+from .errors import IllConditionedQueryError, MalformedQueryError
 from .network import BayesianNetwork, ancestors, check_assignment, subnetwork
 
 # Denominators below this are treated as zero to avoid division blow-up.
 ILL_CONDITIONED_EPS = 1e-300
 
-DEFAULT_PATH_CAP = 100_000
+# The largest gap `check_prop2` accepts between its two sides.
+PROP2_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -155,51 +157,36 @@ def _satisfies(mc: MarkovChain, state_index: int, binding: Mapping[int, int]) ->
     return True
 
 
-def enumerate_paths(
-    mc: MarkovChain, path_cap: int = DEFAULT_PATH_CAP
-) -> list[tuple[list[int], float]]:
-    """All root-to-final paths as (state index list, probability product)."""
-    if len(mc.final_indices()) > path_cap:
-        raise PathCapError(
-            f"chain has more than {path_cap} root-to-final paths"
-        )
-    paths: list[tuple[list[int], float]] = []
-    stack: list[tuple[int, list[int], float]] = [(mc.initial, [mc.initial], 1.0)]
-    while stack:
-        idx, path, product = stack.pop()
-        if mc.is_final(idx):
-            paths.append((path, product))
-            continue
-        for p, t in mc.successors(idx):
-            stack.append((t, path + [t], product * p))
-    return paths
+def check_prop2(mc: MarkovChain, q: ReachQuery) -> bool:
+    """Compare the conjunction of eventualities against the single-goal form
+    (Proposition 2), within PROP2_TOLERANCE.
 
-
-def check_prop2(
-    mc: MarkovChain,
-    q: ReachQuery,
-    *,
-    path_cap: int = DEFAULT_PATH_CAP,
-    tolerance: float = 1e-9,
-) -> bool:
-    """Compare the conjunction of eventualities against the single-goal form.
-
-    The left side sums path products over enumerated paths on which some
-    state satisfies the hypothesis and some (possibly different) state
-    satisfies the evidence; the right side is one reachability query on the
-    states satisfying both at once.
+    The left side is one forward pass over the tree in index order: each
+    child takes its parent's path probability times the edge's, and two
+    flags saying whether its root path has met the hypothesis and the
+    evidence so far. It sums the path probabilities of the final states
+    with both flags set. On a tree the flags of a final state only repeat
+    what the state itself satisfies; carrying them keeps the left side the
+    path property ◇H ∧ ◇E without assuming the tree. The right side is one
+    backward sweep to the states satisfying both at once.
     """
-    check_assignment(mc.network, q.combined())
-    lhs_terms = []
-    for path, product in enumerate_paths(mc, path_cap):
-        sees_h = any(_satisfies(mc, s, q.hypothesis) for s in path)
-        sees_f = any(_satisfies(mc, s, q.evidence) for s in path)
-        if sees_h and sees_f:
-            lhs_terms.append(product)
-    lhs = fsum(lhs_terms)
     combined = q.combined()
+    check_assignment(mc.network, combined)
+    h, e = q.hypothesis, q.evidence
+    root = mc.initial
+    mass = [0.0] * len(mc.states)
+    seen = [(False, False)] * len(mc.states)
+    mass[root] = 1.0
+    seen[root] = (_satisfies(mc, root, h), _satisfies(mc, root, e))
+    # BFS layout: every parent precedes its children, and finals come last.
+    for idx in range(mc.final_indices().start):
+        m, (seen_h, seen_e) = mass[idx], seen[idx]
+        for p, t in mc.successors(idx):
+            mass[t] = m * p
+            seen[t] = (seen_h or _satisfies(mc, t, h), seen_e or _satisfies(mc, t, e))
+    lhs = fsum(mass[idx] for idx in mc.final_indices() if all(seen[idx]))
     goal = {
         idx for idx in range(len(mc.states)) if _satisfies(mc, idx, combined)
     }
     rhs = reach_probability(mc, goal)
-    return abs(lhs - rhs) <= tolerance
+    return abs(lhs - rhs) <= PROP2_TOLERANCE

@@ -210,8 +210,11 @@ def test_infer_symbolic_engine_above_the_state_cap(tmp_path, capsys):
     query = [str(path), "--ev", "v39=1", "--hyp", "v0=0"]
     expected = chain_forward(bn, (0,)) / chain_forward(bn, (0, 1))
     # The tree of 2^41 - 1 states is refused; the query chain has at most 160.
-    for engine in ("symbolic", "explicit"):
-        code, out, _ = run(["infer", *query, "--engine", engine], capsys)
+    for code, out, _ in (
+        run(["infer", *query, "--engine", "symbolic"], capsys),
+        # In a capped child, so a regression that builds the tree fails fast.
+        run_child(["infer", *query, "--engine", "explicit"]),
+    ):
         assert code == 0
         assert abs(float(out) - expected) <= 1e-12
     code, _, err = run(["translate", str(path), "--format", "dot"], capsys)
@@ -392,6 +395,16 @@ def test_translate_jani_to_stdout(bif_path, capsys):
     model = json.loads(out)
     assert model["type"] == "dtmc"
     assert "states: 31" in err
+
+
+def test_translate_jani_of_an_empty_network(tmp_path, capsys):
+    # No variable to compare: the one state's guard is the empty conjunction.
+    path = tmp_path / "empty.bif"
+    path.write_text("network empty { }\n", encoding="utf-8")
+    code, out, _ = run(["translate", str(path), "--format", "jani"], capsys)
+    assert code == 0
+    [edge] = json.loads(out)["automata"][0]["edges"]
+    assert edge["guard"] == {"exp": True}
 
 
 def test_translate_refuses_above_cap(tmp_path, capsys):

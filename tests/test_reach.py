@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from bnmc import reach
 from bnmc.chain import build_mc, final_states
-from bnmc.errors import IllConditionedQueryError, MalformedQueryError, PathCapError
+from bnmc.errors import IllConditionedQueryError, MalformedQueryError
 from bnmc.gen import random_network, random_query
 from bnmc.network import Cpt, Variable, network_from_cpts, subnetwork
 from bnmc.oracle import oracle_infer
@@ -157,10 +158,30 @@ def test_check_prop2_random_networks():
             assert check_prop2(mc, q)
 
 
-def test_check_prop2_path_cap(student_mood):
-    mc = build_mc(student_mood)
-    with pytest.raises(PathCapError):
-        check_prop2(mc, ReachQuery(), path_cap=3)
+def test_check_prop2_refuses_a_chain_that_forgets_a_value():
+    # Proposition 2 needs a tree-like chain. With a=0 overwritten by a=1 in
+    # the state (0, 0), the path to it meets a=0 and then b=0, never both at
+    # once, so the left side counts it and the right side does not.
+    a = Variable(id=0, name="a", domain=("0", "1"))
+    b = Variable(id=1, name="b", domain=("0", "1"))
+    root = {(): (0.5, 0.5)}
+    cpts = [Cpt(owner=0, parents=(), rows=root), Cpt(owner=1, parents=(), rows=root)]
+    bn = network_from_cpts("forgets", [a, b], cpts)
+    mc = build_mc(bn)
+    assert mc.states[3] == (0, 0)
+    forgets = dataclasses.replace(mc, states=(*mc.states[:3], (1, 0), *mc.states[4:]))
+    q = ReachQuery(evidence={1: 0}, hypothesis={0: 0})
+    assert check_prop2(mc, q)
+    assert not check_prop2(forgets, q)
+
+
+def test_check_prop2_on_a_tree_of_131072_final_states():
+    # One forward pass over the tree: no cap on the number of paths.
+    from conftest import chain_bn
+
+    mc = build_mc(chain_bn(17))
+    assert len(mc.final_indices()) == 2**17
+    assert check_prop2(mc, ReachQuery(evidence={16: 1}, hypothesis={0: 0}))
 
 
 @settings(max_examples=20, deadline=None)
