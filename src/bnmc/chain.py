@@ -28,6 +28,11 @@ layer below would only multiply by row sums of 1. `final_states` and
 `path_probability` descend to the final layer. The backward sweep in `reach`
 serves only arbitrary goal sets.
 
+Every field of a tree but `masses` is fixed by `build_mc`.
+`reach.conditional_query` fills `MarkovChain.masses` as queries arrive: one
+mass per binding, kept as long as the tree lives. Queries on one tree must
+therefore be serialized, as on a compiled `SymbolicBn`.
+
 The tree remembers every value, so it is exponential in the number of
 variables. `bnmc infer` answers on a query chain instead: the product of the
 chain with a monitor for one query's evidence and hypothesis (Baier, Klein,
@@ -48,7 +53,7 @@ layer. `reach.query_chain_conditional` reads both masses off the last layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
 from typing import ClassVar, Iterable, Iterator, Mapping
@@ -74,6 +79,10 @@ class MarkovChain:
     first_child: tuple[int, ...]
     edges: tuple[tuple[Edge, ...], ...]
     edge_of: tuple[tuple[Edge | None, ...], ...]
+    # sorted binding items -> mass, filled by `reach.conditional_query`
+    masses: dict[tuple[tuple[int, int], ...], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     # The BFS layout, `descend` and every reader in `reach` start at index 0.
     initial: ClassVar[int] = 0
 

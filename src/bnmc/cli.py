@@ -179,9 +179,12 @@ def cmd_bench(args) -> int:
     counts = [int(c) for c in args.counts.split(",") if c != ""]
     if any(c < 0 for c in counts):
         raise BnmcError("counts must be nonnegative")
-    sym = symbolic.compile_network(bn)
+    # A fresh model per row, so no row is timed against masses or diagram
+    # memos that an earlier row filled.
     results = [
-        symbolic.bench_evidence(sym, args.strategy, count, args.seed)
+        symbolic.bench_evidence(
+            symbolic.compile_network(bn), args.strategy, count, args.seed
+        )
         for count in counts
     ]
     results.sort(key=lambda r: r.evidence_count)

@@ -9,6 +9,14 @@ state that satisfies it: the sum of the path probabilities that
 `chain.descend` finds in one forward pass, which stops at the layer where
 the binding's deepest variable is fixed. The query chain is walked layer by
 layer and never stored; both masses come from its last layer.
+
+A model that answers many queries meets the same bindings again, and every
+hypothesis asked under one evidence shares its denominator. `remembered`
+keeps each binding's mass in the model's `masses` dict, so a tree
+(`MarkovChain.masses`) and a compiled model (`SymbolicBn.masses`) each
+compute a mass once. The memo fills as queries arrive and lives as long as
+the model, so queries on one model must be serialized. The query chain and
+the oracle keep no model, and so no memo.
 """
 
 from __future__ import annotations
@@ -109,6 +117,26 @@ def conditional(mass: Callable[[Mapping[int, int]], float], q: ReachQuery) -> fl
     return mass(q.combined()) / denominator
 
 
+def remembered(
+    masses: dict[tuple[tuple[int, int], ...], float],
+    mass: Callable[[Mapping[int, int]], float],
+) -> Callable[[Mapping[int, int]], float]:
+    """`mass`, computed once per binding and then read from `masses`.
+
+    The key is the binding's sorted items; the first value stored for a key
+    is the one every later call returns.
+    """
+
+    def lookup(binding: Mapping[int, int]) -> float:
+        key = tuple(sorted(binding.items()))
+        hit = masses.get(key)
+        if hit is None:
+            hit = masses.setdefault(key, mass(binding))
+        return hit
+
+    return lookup
+
+
 def conditional_query(mc: MarkovChain, q: ReachQuery) -> float:
     """Conditional probability of the hypothesis given the evidence.
 
@@ -116,11 +144,14 @@ def conditional_query(mc: MarkovChain, q: ReachQuery) -> float:
     along a path of the tree-shaped chain, so each mass is the sum of the path
     probabilities of the states that satisfy it in the layer of its deepest
     bound variable. Going on to the final states would only multiply each by
-    row sums of 1.
+    row sums of 1. Each mass is remembered in `mc.masses`.
     """
     check_assignment(mc.network, q.combined())
     return conditional(
-        lambda b: fsum(p for _, p in chain.descend(mc, b, to_final=False)), q
+        remembered(
+            mc.masses, lambda b: fsum(p for _, p in chain.descend(mc, b, to_final=False))
+        ),
+        q,
     )
 
 

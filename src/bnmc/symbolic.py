@@ -20,7 +20,8 @@ one plan. Inference never reads the monolithic joint diagram,
 `compile_network` fixes a model's layout (bit levels and the plan). No cap
 bounds the bit count: a query costs what its elimination builds. Each query
 appends the nodes it makes to the model's one node store, beside its
-entries in the memo tables, and none of them is freed while the model lives.
+entries in the manager's memo tables, and none of them is freed while the
+model lives.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import csv
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import IO, Iterable, Mapping
 
@@ -36,7 +38,7 @@ from .chain import query_plan, retire_positions
 from .errors import IllConditionedQueryError
 from .mtbdd import MtbddManager, NodeRef
 from .network import BayesianNetwork, ancestors, check_assignment, topological_order
-from .reach import ReachQuery, conditional
+from .reach import ReachQuery, conditional, remembered
 
 
 def _width(domain_size: int) -> int:
@@ -52,9 +54,10 @@ def _pattern(value: int, width: int) -> tuple[int, ...]:
 class SymbolicBn:
     """A compiled network: one table diagram per CPT in one manager.
 
-    Every field but `masses` is fixed by `compile_network`. The masses
-    answered so far are cached on the instance; like the manager's own memo
-    tables, they must be filled by one thread at a time.
+    Every field but `masses` is fixed by `compile_network`. `infer` fills
+    `masses` through `reach.remembered`, as `reach.conditional_query` fills
+    `MarkovChain.masses`; like the manager's own memo tables, it must be
+    filled by one thread at a time.
     """
 
     network: BayesianNetwork
@@ -165,10 +168,6 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
     earliest-retiring free variable; one with none is a terminal. Bucket k
     runs once plan[k] is placed, as no later factor joins it.
     """
-    key = tuple(sorted(binding.items()))
-    hit = sym.masses.get(key)
-    if hit is not None:
-        return hit
     mgr, cpts, levels = sym.manager, sym.network.cpts, sym.levels
     labels = mgr.variables
     bound = {
@@ -201,14 +200,14 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
             gone = [w for w in free if retire[w] == pos]
             node = mgr.sum_abstract(node, (labels[b] for w in gone for b in levels[w]))
             place(node, free.difference(gone))
-    sym.masses[key] = mass
     return mass
 
 
 def infer(sym: SymbolicBn, q: ReachQuery) -> float:
-    """Conditional probability from two masses eliminated along the plan."""
+    """Conditional probability from two masses eliminated along the plan,
+    each remembered in `sym.masses`."""
     check_assignment(sym.network, q.combined())
-    return conditional(lambda b: _restricted_mass(sym, b), q)
+    return conditional(remembered(sym.masses, partial(_restricted_mass, sym)), q)
 
 
 # -- evidence-strategy benchmark ------------------------------------------------

@@ -75,8 +75,9 @@ def test_initial_state_all_dont_care(student_mood):
 
 def test_initial_state_is_not_a_field(student_mood):
     mc = build_mc(student_mood)
-    values = {f.name: getattr(mc, f.name) for f in fields(mc)}
-    assert "initial" not in values
+    assert "initial" not in {f.name for f in fields(mc)}
+    # `masses` is filled by queries, not passed in.
+    values = {f.name: getattr(mc, f.name) for f in fields(mc) if f.init}
     assert MarkovChain(**values) == mc
     with pytest.raises(TypeError):
         MarkovChain(**values, initial=5)

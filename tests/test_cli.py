@@ -813,6 +813,24 @@ def test_bench_csv_to_a_file(bif_path, tmp_path, capsys):
     ]
 
 
+def test_bench_times_each_row_on_a_fresh_model(bif_path, capsys, monkeypatch):
+    from bnmc import symbolic
+
+    original, models = symbolic.bench_evidence, []
+
+    def recorded(sym, *args):
+        models.append((sym, dict(sym.masses), sym.manager.live_nodes))
+        return original(sym, *args)
+
+    monkeypatch.setattr(symbolic, "bench_evidence", recorded)
+    args = ["bench", bif_path, "--strategy", "last", "--counts", "1,1,1", "--seed", "42"]
+    code, out, _ = run(args, capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+    assert len({id(sym) for sym, _, _ in models}) == 3
+    assert all(masses == {} for _, masses, _ in models)
+    assert len({live for _, _, live in models}) == 1
+
+
 def test_bench_zero_probability_evidence_is_an_ill_conditioned_row(tmp_path, capsys):
     from conftest import copy_chain_bn
 
@@ -1025,6 +1043,7 @@ def mutated(draw, text):
 
 BUNDLED_VTREE, BUNDLED_PSDD = student_mood_texts()
 BUNDLED_BIF = write_bif(load_student_mood())
+CONFIG_TEXT = json.dumps({"state_cap": 1000, "enum_cap": 1000})
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -1032,16 +1051,25 @@ BUNDLED_BIF = write_bif(load_student_mood())
     vtree_text=mutated(BUNDLED_VTREE),
     psdd_text=mutated(BUNDLED_PSDD),
     bif_text=mutated(BUNDLED_BIF),
+    config_text=mutated(CONFIG_TEXT),
 )
-def test_mutated_inputs_end_with_an_exit_code(vtree_text, psdd_text, bif_text):
+def test_mutated_inputs_end_with_an_exit_code(vtree_text, psdd_text, bif_text, config_text):
     query = ["--ev", "Prep=1", "--hyp", "Dif=0"]
     with tempfile.TemporaryDirectory() as tmp:
-        vtree, diagram, network = (Path(tmp) / name for name in ("v", "p", "b"))
-        vtree.write_text(vtree_text, encoding="utf-8")
-        diagram.write_text(psdd_text, encoding="utf-8")
-        network.write_text(bif_text, encoding="utf-8")
-        for args in (
-            ["psdd-eval", str(vtree), str(diagram), *query],
-            ["infer", str(network), "--engine", "all", *query],
+        vtree, diagram, network, config, out = (
+            str(Path(tmp) / name) for name in ("v", "p", "b", "c", "out")
+        )
+        for path, text in (
+            (vtree, vtree_text), (diagram, psdd_text), (network, bif_text), (config, config_text)
         ):
-            assert main(args) in (0, 2, 3, 4)
+            Path(path).write_text(text, encoding="utf-8")
+        for args in (
+            ["psdd-eval", vtree, diagram, *query],
+            ["infer", network, "--engine", "all", *query],
+            ["--config", config, "infer", network, "--engine", "all", *query],
+            ["stats", network],
+            ["translate", network, "--format", "jani", "-o", out],
+            ["translate", network, "--format", "dot", "-o", out],
+            ["bench", network, "--counts", "1"],
+        ):
+            assert main(args) in (0, 2, 3, 4), args

@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnmc import reach
+from bnmc import chain, reach, symbolic
 from bnmc.chain import build_mc, final_states
 from bnmc.errors import IllConditionedQueryError, MalformedQueryError
 from bnmc.gen import random_network, random_query
@@ -20,6 +22,7 @@ from bnmc.reach import (
     conditional_query,
     reach_probability,
 )
+from bnmc.symbolic import compile_network, infer
 
 
 def scanned_goal(mc, binding):
@@ -80,8 +83,11 @@ def test_conditional_query_ill_conditioned():
         ],
     )
     mc = build_mc(bn)
-    with pytest.raises(IllConditionedQueryError):
-        conditional_query(mc, ReachQuery(evidence={1: 1}))
+    # The second call reads the zero mass from the memo and refuses again.
+    for _ in range(2):
+        with pytest.raises(IllConditionedQueryError):
+            conditional_query(mc, ReachQuery(evidence={1: 1}))
+    assert mc.masses == {((1, 1),): 0.0}
 
 
 @pytest.mark.parametrize(
@@ -286,3 +292,67 @@ def test_mass_stops_at_the_deepest_bound_layer():
     bn = chain_bn(12, seed=1)
     mc = build_mc(bn)
     assert conditional_query(mc, ReachQuery(hypothesis={0: 0})) == bn.cpts[0].rows[()][0]
+
+
+# Each model-backed engine: how it is built, how it answers, and the module
+# attribute that computes one mass.
+MEMO_ENGINES = {
+    "tree": (build_mc, conditional_query, (chain, "descend")),
+    "symbolic": (compile_network, infer, (symbolic, "_restricted_mass")),
+}
+
+
+@pytest.mark.parametrize("engine", MEMO_ENGINES)
+def test_repeated_query_reads_its_masses_from_the_model(student_mood, monkeypatch, engine):
+    build, answer, (module, name) = MEMO_ENGINES[engine]
+    model = build(student_mood)
+    q = ReachQuery(evidence={1: 1}, hypothesis={0: 0, 2: 0, 3: 0})
+    answer(model, q)
+    fresh = answer(build(student_mood), q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called on a remembered binding")
+
+    monkeypatch.setattr(module, name, refuse)
+    assert answer(model, q).hex() == fresh.hex()
+    # The combined binding, its items in another order, is the same key.
+    assert answer(model, ReachQuery(evidence={0: 0, 1: 1, 2: 0, 3: 0})) == 1.0
+
+
+@pytest.mark.parametrize("engine", MEMO_ENGINES)
+def test_a_second_hypothesis_computes_only_its_combined_mass(student_mood, monkeypatch, engine):
+    build, answer, (module, name) = MEMO_ENGINES[engine]
+    model = build(student_mood)
+    original, calls = getattr(module, name), []
+
+    def counted(model, binding, **kwargs):
+        calls.append(dict(binding))
+        return original(model, binding, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    answer(model, ReachQuery(evidence={1: 1}, hypothesis={0: 0}))
+    answer(model, ReachQuery(evidence={1: 1}, hypothesis={2: 0}))
+    assert calls == [{1: 1}, {1: 1, 0: 0}, {1: 1, 2: 0}]
+    assert model.masses.keys() == {((1, 1),), ((0, 0), (1, 1)), ((1, 1), (2, 0))}
+
+
+def test_tree_queries_grow_no_instance_state(student_mood):
+    mc = build_mc(student_mood)
+    fields = dict(vars(mc))
+    conditional_query(mc, ReachQuery(evidence={1: 1}, hypothesis={0: 0}))
+    conditional_query(mc, ReachQuery(evidence={2: 0}, hypothesis={3: 1}))
+    assert vars(mc).keys() == fields.keys()
+    assert all(vars(mc)[key] is value for key, value in fields.items())
+    assert len(mc.masses) == 4
+
+
+def test_tree_freed_without_cycle_collector(student_mood):
+    gc.disable()
+    try:
+        mc = build_mc(student_mood)
+        conditional_query(mc, ReachQuery(evidence={1: 1}, hypothesis={0: 0}))
+        tree = weakref.ref(mc)
+        del mc
+        assert tree() is None
+    finally:
+        gc.enable()
