@@ -180,7 +180,13 @@ def cmd_bench(args) -> int:
     if any(c < 0 for c in counts):
         raise BnmcError("counts must be nonnegative")
     # A fresh model per row, so no row is timed against masses or diagram
-    # memos that an earlier row filled.
+    # memos that an earlier row filled. One untimed row on a throwaway model
+    # goes first: a process's first pass through the elimination code runs
+    # about 1.6x slower than later ones, which the first row would show.
+    if counts:
+        symbolic.bench_evidence(
+            symbolic.compile_network(bn), args.strategy, counts[0], args.seed
+        )
     results = [
         symbolic.bench_evidence(
             symbolic.compile_network(bn), args.strategy, count, args.seed

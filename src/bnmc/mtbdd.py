@@ -13,9 +13,26 @@ floats is the collapse of -0.0 into 0.0, which is the same real number.
 Intermediate results (partial sums) may exceed 1; range restrictions on
 distributions are the caller's concern.
 
-The apply memo persists for the manager's life. `cofactor` (which
-`restrict` calls with one bit) and `sum_abstract` each make one recursive
-pass with a memo that lasts only that call (Bahar et al. 1993).
+Nodes are built by `terminal`, `node`, and three operations:
+- `apply` (+, *, min, max) keeps its memo for the manager's life.
+- `cofactor` (which `restrict` calls with one bit) makes one recursive
+  pass with a memo that lasts only that call.
+- `multiply_sum(a, b, variables)` sums the product of two diagrams over
+  some variables in one recursive pass, also with a memo of one call
+  (Bahar et al. 1993). It never builds the product above the last summed
+  level (the relational product: Burch, Clarke and Long 1991; Sylvan's
+  `and_abstract_plus`, van Dijk and van de Pol 2017), and a constant part
+  of the sum stays a float until it is needed as a node. `sum_abstract`
+  is its case with the constant 1.
+
+The public methods check their arguments. Their underscored kernels
+(`_apply`, `_cofactor`, `_multiply_sum`, `_mk`) trust them, and the
+compiler in `symbolic` calls them directly with references and levels it
+built. A leaf made by an operation skips `terminal`'s checks: every stored
+value is finite, nonnegative and never -0.0, so a sum, product, min or
+max of two of them cannot be NaN, negative or -0.0. It can only overflow
+to inf, and that is refused as `terminal` refuses it. `x * 1`, `x * 0`
+and `x + 0` return an operand without a walk, being exact.
 
 Node creation and the operations that populate caches must be serialized
 per manager; finished references may be read concurrently.
@@ -24,13 +41,14 @@ per manager; finished references may be read concurrently.
 from __future__ import annotations
 
 import math
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 NodeRef = int
 
 _OPS: dict[str, Callable[[float, float], float]] = {
-    "+": lambda a, b: a + b,
-    "*": lambda a, b: a * b,
+    "+": add,
+    "*": mul,
     "min": min,
     "max": max,
 }
@@ -96,10 +114,6 @@ class MtbddManager:
 
     # -- construction ------------------------------------------------------
 
-    def _alloc(self, entry: tuple) -> NodeRef:
-        self._nodes.append(entry)
-        return len(self._nodes) - 1
-
     def terminal(self, value: float) -> NodeRef:
         ref = self._terminals.get(value)  # a hit equals a valid stored float
         if ref is None:
@@ -108,12 +122,18 @@ class MtbddManager:
                 raise ValueError(
                     f"terminal value must be finite and nonnegative: {value!r}"
                 )
-            if value == 0.0:
-                value = 0.0  # collapse -0.0
-            ref = self._terminals.get(value)
-            if ref is None:
-                ref = self._alloc((self._leaf_level, value))
-                self._terminals[value] = ref
+            ref = self._leaf(0.0 if value == 0.0 else value)  # collapse -0.0
+        return ref
+
+    def _leaf(self, value: float) -> NodeRef:
+        """Terminal for an op's result on stored terminals; of `terminal`'s
+        checks only overflow can fail there (see the module docstring)."""
+        ref = self._terminals.get(value)
+        if ref is None:
+            if value == math.inf:
+                raise ValueError(f"terminal value must be finite and nonnegative: {value!r}")
+            ref = self._terminals[value] = len(self._nodes)
+            self._nodes.append((self._leaf_level, value))
         return ref
 
     def node(self, var: str, lo: NodeRef, hi: NodeRef) -> NodeRef:
@@ -129,8 +149,8 @@ class MtbddManager:
         key = (level, lo, hi)
         ref = self._unique.get(key)
         if ref is None:
-            ref = self._alloc(key)
-            self._unique[key] = ref
+            ref = self._unique[key] = len(self._nodes)
+            self._nodes.append(key)
         return ref
 
     # -- operations ----------------------------------------------------------
@@ -144,14 +164,25 @@ class MtbddManager:
 
     def _apply(self, fn, a: NodeRef, b: NodeRef) -> NodeRef:
         ea, eb = self._nodes[a], self._nodes[b]
-        if len(ea) == 2 and len(eb) == 2:
-            return self.terminal(fn(ea[1], eb[1]))
-        key = (fn, a, b) if a <= b else (fn, b, a)  # all supported ops commute
+        if len(ea) == 2:  # all supported ops commute: put a terminal second
+            if len(eb) == 2:
+                return self._leaf(fn(ea[1], eb[1]))
+            a, b, ea, eb = b, a, eb, ea
+        if len(eb) == 2:  # exact identities: x*1 = x, x*0 = 0, x+0 = x
+            value = eb[1]
+            if fn is mul:
+                if value == 1.0:
+                    return a
+                if value == 0.0:
+                    return b
+            elif fn is add and value == 0.0:
+                return a
+        key = (fn, a, b) if a <= b else (fn, b, a)
         hit = self._apply_memo.get(key)
         if hit is not None:
             return hit
         la, lb = ea[0], eb[0]
-        level = min(la, lb)
+        level = la if la < lb else lb
         a0, a1 = (ea[1], ea[2]) if la == level else (a, a)
         b0, b1 = (eb[1], eb[2]) if lb == level else (b, b)
         result = self._mk(level, self._apply(fn, a0, b0), self._apply(fn, a1, b1))
@@ -170,11 +201,13 @@ class MtbddManager:
                 raise ValueError(f"invalid level {level!r}")
             if bit not in (0, 1):
                 raise ValueError("restriction value must be 0 or 1")
-        if not cube:
-            return a
-        return self._cofactor(a, cube, max(cube), {})
+        return self._cofactor(a, cube)
 
-    def _cofactor(
+    def _cofactor(self, a: NodeRef, cube: Mapping[int, int]) -> NodeRef:
+        """`cofactor` for a valid cube."""
+        return self._cofactor_walk(a, cube, max(cube), {}) if cube else a
+
+    def _cofactor_walk(
         self, a: NodeRef, cube: Mapping[int, int], last: int, memo: dict
     ) -> NodeRef:
         entry = self._nodes[a]
@@ -183,53 +216,80 @@ class MtbddManager:
             return a
         bit = cube.get(level)
         if bit is not None:
-            return self._cofactor(entry[1 + bit], cube, last, memo)
+            return self._cofactor_walk(entry[1 + bit], cube, last, memo)
         result = memo.get(a)
         if result is None:
             result = memo[a] = self._mk(
                 level,
-                self._cofactor(entry[1], cube, last, memo),
-                self._cofactor(entry[2], cube, last, memo),
+                self._cofactor_walk(entry[1], cube, last, memo),
+                self._cofactor_walk(entry[2], cube, last, memo),
             )
         return result
 
     def sum_abstract(self, a: NodeRef, variables: Iterable[str]) -> NodeRef:
         """Sum the function over all valuations of the given variables."""
+        return self.multiply_sum(a, self.terminal(1.0), variables)
+
+    def multiply_sum(self, a: NodeRef, b: NodeRef, variables: Iterable[str]) -> NodeRef:
+        """`sum_abstract(apply("*", a, b), variables)`, without building the
+        product above the last summed level (relational product: Burch,
+        Clarke and Long 1991)."""
         levels = sorted({self.level(v) for v in variables})
-        self._entry(a)
-        return self._sum_abstract(a, levels, 0, {})
+        self._entry(a), self._entry(b)
+        return self._multiply_sum(a, b, levels)
 
-    def _sum_abstract(self, a: NodeRef, levels: list[int], i: int, memo: dict) -> NodeRef:
-        """`a` summed over `levels[i:]`, one recursive pass from the top.
+    def _multiply_sum(self, a: NodeRef, b: NodeRef, levels: Sequence[int]) -> NodeRef:
+        """`multiply_sum` for valid references and sorted, valid levels."""
+        return self._ref(self._multiply_sum_walk(a, b, levels, 0, {}))
 
-        A cube level adds the two summed children, a cube level that `a`
-        skips doubles, any other level is rebuilt. Every value is the same
-        tree of additions as summing the levels one at a time from the
-        bottom, so the result is the same reference.
+    def _ref(self, result: NodeRef | float) -> NodeRef:
+        """A walk's result as a reference: a float becomes its terminal."""
+        return result if type(result) is int else self._leaf(result)
+
+    def _multiply_sum_walk(
+        self, a: NodeRef, b: NodeRef, levels: Sequence[int], i: int, memo: dict
+    ) -> NodeRef | float:
+        """`a * b` summed over `levels[i:]`, one recursive pass from the top.
+
+        A cube level adds the two summed cofactor products, a cube level
+        that both operands skip doubles, any other level is rebuilt; below
+        the last cube level the product is an apply. Every leaf is the
+        same product and the same tree of additions as summing the product
+        one level at a time from the bottom, so the result is the same
+        reference. A constant result is returned as its float, so the
+        products and partial sums that only feed a sum are never interned.
         """
+        ea, eb = self._nodes[a], self._nodes[b]
+        if len(ea) == 2 and len(eb) == 2:  # doubled once per level left
+            value = ea[1] * eb[1]
+            for _ in range(len(levels) - i):
+                value += value
+            return value
         if i == len(levels):
-            return a
-        key = (a, i)
+            return self._apply(mul, a, b)
+        key = (a, b, i)
         result = memo.get(key)
         if result is not None:
             return result
-        entry = self._nodes[a]
-        level, cube_level = entry[0], levels[i]
-        if level > cube_level:  # includes terminals
-            half = self._sum_abstract(a, levels, i + 1, memo)
-            result = self._apply(_OPS["+"], half, half)
-        elif level == cube_level:
-            result = self._apply(
-                _OPS["+"],
-                self._sum_abstract(entry[1], levels, i + 1, memo),
-                self._sum_abstract(entry[2], levels, i + 1, memo),
-            )
+        la, lb, cube_level = ea[0], eb[0], levels[i]
+        level = la if la < lb else lb
+        if level > cube_level:
+            half = self._multiply_sum_walk(a, b, levels, i + 1, memo)
+            result = half + half if type(half) is float else self._apply(add, half, half)
         else:
-            result = self._mk(
-                level,
-                self._sum_abstract(entry[1], levels, i, memo),
-                self._sum_abstract(entry[2], levels, i, memo),
-            )
+            a0, a1 = (ea[1], ea[2]) if la == level else (a, a)
+            b0, b1 = (eb[1], eb[2]) if lb == level else (b, b)
+            if level == cube_level:
+                lo = self._multiply_sum_walk(a0, b0, levels, i + 1, memo)
+                hi = self._multiply_sum_walk(a1, b1, levels, i + 1, memo)
+                if type(lo) is float and type(hi) is float:
+                    result = lo + hi
+                else:
+                    result = self._apply(add, self._ref(lo), self._ref(hi))
+            else:
+                lo = self._multiply_sum_walk(a0, b0, levels, i, memo)
+                hi = self._multiply_sum_walk(a1, b1, levels, i, memo)
+                result = self._mk(level, self._ref(lo), self._ref(hi))
         memo[key] = result
         return result
 

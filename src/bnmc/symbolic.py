@@ -14,8 +14,10 @@ skipped and an empty binding has mass exactly 1. Each ancestral CPT
 diagram is cofactored by the bound bits in its scope, and each free
 variable is summed out where the query chain forgets it, at its last child
 in `chain.query_plan` (bucket elimination, Dechter 1996): both engines walk
-one plan. Inference never reads the monolithic joint diagram,
-`SymbolicBn.joint`, which each read rebuilds from the apply memo.
+one plan. A bucket's last factor is multiplied in by the manager's fused
+multiply-sum, so no node of that product is built above the summed bits.
+Inference never reads the monolithic joint diagram, `SymbolicBn.joint`,
+which each read rebuilds from the apply memo.
 
 `compile_network` fixes a model's layout (bit levels and the plan). No cap
 bounds the bit count: a query costs what its elimination builds. Each query
@@ -32,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
+from operator import mul
 from typing import IO, Iterable, Mapping
 
 from .chain import query_plan, retire_positions
@@ -166,10 +169,13 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
     that `chain.retire_positions` retires at k. A factor (a CPT diagram
     cofactored by the bound bits in its scope) waits in the bucket of its
     earliest-retiring free variable; one with none is a terminal. Bucket k
-    runs once plan[k] is placed, as no later factor joins it.
+    runs once plan[k] is placed, as no later factor joins it: its factors
+    are multiplied in the order they arrived, the last one inside
+    `_multiply_sum`, which sums out the retiring bits (sorted levels from
+    `sym.levels`). The kernels are called past the manager's argument
+    checks, on references and levels this model built.
     """
     mgr, cpts, levels = sym.manager, sym.network.cpts, sym.levels
-    labels = mgr.variables
     bound = {
         w: tuple(zip(levels[w], _pattern(d, len(levels[w])))) for w, d in binding.items()
     }
@@ -186,20 +192,18 @@ def _restricted_mass(sym: SymbolicBn, binding: Mapping[int, int]) -> float:
             mass *= mgr.terminal_value(node)
 
     for pos, var_id in enumerate(plan):
-        node = sym.cpt_refs[var_id]
         scope = (*cpts[var_id].parents, var_id)
         cube = {level: bit for w in scope if w in bound for level, bit in bound[w]}
-        if cube:
-            node = mgr.cofactor(node, cube)
-        place(node, frozenset(scope).difference(binding))
+        place(mgr._cofactor(sym.cpt_refs[var_id], cube), frozenset(scope).difference(binding))
         if buckets[pos]:
-            (node, free), *rest = buckets[pos]
+            *rest, (last, free) = buckets[pos]
+            node = mgr.terminal(1.0)
             for other, other_free in rest:
-                node = mgr.apply("*", node, other)
+                node = mgr._apply(mul, node, other)
                 free |= other_free
             gone = [w for w in free if retire[w] == pos]
-            node = mgr.sum_abstract(node, (labels[b] for w in gone for b in levels[w]))
-            place(node, free.difference(gone))
+            summed = sorted(b for w in gone for b in levels[w])
+            place(mgr._multiply_sum(node, last, summed), free.difference(gone))
     return mass
 
 

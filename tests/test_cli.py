@@ -814,19 +814,23 @@ def test_bench_csv_to_a_file(bif_path, tmp_path, capsys):
 
 
 def test_bench_times_each_row_on_a_fresh_model(bif_path, capsys, monkeypatch):
+    """Each row, and the untimed warm-up row before them, gets a model of
+    its own on which nothing has run."""
     from bnmc import symbolic
 
-    original, models = symbolic.bench_evidence, []
+    original, models, calls = symbolic.bench_evidence, [], []
 
     def recorded(sym, *args):
         models.append((sym, dict(sym.masses), sym.manager.live_nodes))
+        calls.append(args)
         return original(sym, *args)
 
     monkeypatch.setattr(symbolic, "bench_evidence", recorded)
-    args = ["bench", bif_path, "--strategy", "last", "--counts", "1,1,1", "--seed", "42"]
+    args = ["bench", bif_path, "--strategy", "last", "--counts", "2,1,1", "--seed", "42"]
     code, out, _ = run(args, capsys)
     assert code == 0 and len(out.splitlines()) == 3
-    assert len({id(sym) for sym, _, _ in models}) == 3
+    assert calls == [("last", 2, 42), ("last", 2, 42), ("last", 1, 42), ("last", 1, 42)]
+    assert len({id(sym) for sym, _, _ in models}) == 4
     assert all(masses == {} for _, masses, _ in models)
     assert len({live for _, _, live in models}) == 1
 

@@ -378,6 +378,95 @@ def test_one_pass_sum_abstract_returns_the_per_level_reference():
         assert mgr.sum_abstract(f, cube) == expected
 
 
+VARS6 = VARS8[:6]
+
+
+def _per_level_sum(mgr, f, cube):
+    """`f` summed over `cube` one level at a time from the bottom."""
+    for level in sorted((mgr.level(v) for v in cube), reverse=True):
+        f = mgr.apply(
+            "+", _reference_restrict(mgr, f, level, 0), _reference_restrict(mgr, f, level, 1)
+        )
+    return f
+
+
+def test_multiply_sum_returns_the_apply_then_sum_reference():
+    """On 1,200 random pairs over at most 6 bits, with leaves of 0.0, 1.0
+    and arbitrary values, the fused kernel returns the reference that
+    building the product and summing it out gives."""
+    rng = random.Random(73)
+    mgr = MtbddManager(VARS6)
+    pool = (0.0, 0.0, 1.0, 1.0, 0.5, 1 / 3, 0.123456789, 2.5)
+
+    def operand():
+        if rng.random() < 0.1:
+            return mgr.terminal(rng.choice(pool)), set()
+        support = [v for v in VARS6 if rng.random() < 0.6]
+        values = [
+            rng.choice(pool) if rng.random() < 0.7 else rng.random()
+            for _ in range(2 ** len(support))
+        ]
+        return from_table(mgr, support, values), set(support)
+
+    seen = {"terminal": 0, "empty": 0, "unmentioned": 0}
+    for trial in range(1_200):
+        (a, sa), (b, sb) = operand(), operand()
+        cube = tuple(v for v in VARS6 if rng.random() < 0.5)
+        if trial % 10 == 0:
+            cube = ()
+        seen["terminal"] += mgr.is_terminal(a) or mgr.is_terminal(b)
+        seen["empty"] += not cube
+        seen["unmentioned"] += any(v not in sa | sb for v in cube)
+        product_ = mgr.apply("*", a, b)
+        fused = mgr.multiply_sum(a, b, cube)
+        assert fused == mgr.sum_abstract(product_, cube)
+        assert fused == _per_level_sum(mgr, product_, cube)
+        assert mgr.multiply_sum(b, a, cube) == fused
+    assert min(seen.values()) > 100
+
+
+def test_multiply_sum_builds_no_product_node():
+    """Summed over every level, the result is one terminal: the walk interns
+    that total and nothing else, where the product alone has many nodes."""
+    rng = random.Random(74)
+    mgr = MtbddManager(VARS6)
+    a = from_table(mgr, VARS6, [rng.random() for _ in range(64)])
+    b = from_table(mgr, VARS6, [rng.random() for _ in range(64)])
+    live = mgr.live_nodes
+    total = mgr.multiply_sum(a, b, VARS6)
+    assert mgr.is_terminal(total) and mgr.live_nodes == live + 1
+    assert mgr.sum_abstract(mgr.apply("*", a, b), VARS6) == total
+    assert mgr.live_nodes > live + 64
+
+
+def test_multiply_sum_checks_its_arguments():
+    mgr = MtbddManager(VARS4)
+    f = mgr.node("z1", mgr.terminal(0.25), mgr.terminal(0.75))
+    with pytest.raises(ValueError, match="unknown variable"):
+        mgr.multiply_sum(f, f, ("q",))
+    with pytest.raises(ValueError, match="invalid node reference"):
+        mgr.multiply_sum(f, len(mgr._nodes), ("z1",))
+
+
+def test_op_results_that_overflow_are_refused_as_terminal_is():
+    mgr = MtbddManager(VARS4)
+    big = mgr.terminal(1e308)
+    for make in (
+        lambda: mgr.terminal(math.inf),
+        lambda: mgr.apply("+", big, big),
+        lambda: mgr.apply("*", big, mgr.terminal(10.0)),
+        lambda: mgr.apply("+", mgr.node("z0", big, mgr.terminal(0.5)), big),
+        lambda: mgr.sum_abstract(big, ("z2",)),
+        lambda: mgr.multiply_sum(
+            mgr.node("z3", big, mgr.terminal(0.5)), mgr.terminal(0.9), ("z0", "z3")
+        ),
+    ):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            make()
+    leaves = [mgr.terminal_value(r) for r in range(mgr.live_nodes) if mgr.is_terminal(r)]
+    assert math.inf not in leaves
+
+
 def test_cofactor_rejects_bad_cubes():
     mgr = MtbddManager(VARS4)
     f = mgr.node("z1", mgr.terminal(0.25), mgr.terminal(0.75))

@@ -285,6 +285,34 @@ def test_table_diagrams_pinned_digest():
     )
 
 
+def test_restricted_masses_pinned_digest():
+    """Evidence and combined masses of seeded queries, bit for bit.
+
+    The networks have structural zeros and domains of 2 to 4 values; half
+    of them have their ids shuffled, so a CPT may precede its parents'. The
+    digest was taken from the elimination that built each bucket's full
+    product before summing bits out of it.
+    """
+    from conftest import permuted_ids
+
+    rng = random.Random(2028)
+    digest = hashlib.sha256()
+    masses, zeros, permuted = 0, 0, 0
+    for trial in range(150):
+        bn = random_network(rng, max_vars=7, max_domain=4, edge_prob=0.5, zero_entry_prob=0.3)
+        if trial % 2:
+            bn, permuted = permuted_ids(bn, rng), permuted + 1
+        sym = compile_network(bn)
+        for _ in range(6):
+            q = random_query(rng, bn, max_evidence=3, max_hypothesis=3)
+            for binding in (q.evidence, q.combined()):
+                mass = _restricted_mass(sym, binding)
+                digest.update(mass.hex().encode() + b"\n")
+                masses, zeros = masses + 1, zeros + (mass == 0.0)
+    assert masses == 1800 and zeros > 50 and permuted == 75
+    assert digest.hexdigest() == "21fc631152375b276c817992f27cc53fe76e43b591a8001e9981d0706400875a"
+
+
 def test_table_leaves_count_table_entries_not_bit_patterns(monkeypatch):
     """A ternary child of six ternary parents costs its 3^7 table entries.
 
