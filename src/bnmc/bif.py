@@ -10,6 +10,13 @@ Only a `/` can start a comment, so text without one is split at punctuation
 and whitespace; text with one is scanned by `_SCAN`. Both give the same
 tokens, and errors the same positions. Plain variable blocks and rows are
 read from the token list in slices; anything else token by token.
+
+Checks are split between two layers, so a cold read checks each row once.
+Conversion (`document_to_network`) owns the structural checks: it refuses
+an undeclared or repeated name, a missing or second block, a row key out of
+the domains, a repeated or missing row and a row of the wrong width. The
+network's `validate_values` owns the value checks: domains, cycles, and
+each row's entries and sum.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .network import (
     Variable,
     network_from_cpts,
     topological_order,
-    validate,
+    validate_values,
 )
 
 # One match per piece of text: whitespace and comments are matched without
@@ -259,14 +266,17 @@ class _Parser:
         try:
             while tokens[at] == "(":
                 close = tokens.index(")", at)
-                plain = self._plain_numbers(close + 1)
-                if plain is None:
+                end = tokens.index(";", close)
+                # Numbers and single commas alternate, from a number to a
+                # number; a comma among the numbers fails `float`.
+                numbers, commas = tokens[close + 1 : end : 2], tokens[close + 2 : end : 2]
+                if (end - close) % 2 or commas.count(",") != len(commas):
                     break
                 labels = tokens[at + 1 : close]
                 if "," in labels:
                     labels = [tok for tok in labels if tok != ","]
-                entries.append((tuple(labels), plain[0]))
-                at = plain[1]
+                entries.append((tuple(labels), tuple(map(float, numbers))))
+                at = end + 1
         except (IndexError, ValueError):
             pass
         self.pos = at
@@ -372,11 +382,17 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
     cpts = []
     for block, owner, declared_parents in blocks:
         canonical = sorted(declared_parents, key=lambda v: v.id)
-        reorder = [declared_parents.index(v) for v in canonical]
+        # Parents declared in ascending id order, as `write_bif` writes them,
+        # keep their declared keys; others are re-keyed.
+        reorder = (
+            None
+            if canonical == declared_parents
+            else [declared_parents.index(v) for v in canonical]
+        )
         rows: dict[tuple[int, ...], tuple[float, ...]] = {}
 
         def add_row(declared_key: tuple[int, ...], probs: tuple[float, ...]) -> None:
-            key = tuple([declared_key[i] for i in reorder])
+            key = declared_key if reorder is None else tuple([declared_key[i] for i in reorder])
             if key in rows:
                 raise BifParseError(
                     f"probability block {block.owner}: duplicate row for parents "
@@ -473,9 +489,14 @@ def declared_sizes(doc: BifDocument) -> list[int] | None:
 
 
 def validated_network(doc: BifDocument) -> BayesianNetwork:
-    """Convert a parsed document into a validated network."""
+    """Convert a parsed document into a validated network.
+
+    `document_to_network` refuses every structural fault of a document, so
+    only the value half of `validate` is run; on such a network it gives
+    the same messages as the whole.
+    """
     bn = document_to_network(doc)
-    problems = validate(bn)
+    problems = validate_values(bn)
     if problems:
         raise BifParseError("invalid network: " + "; ".join(problems))
     return bn

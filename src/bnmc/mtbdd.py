@@ -117,12 +117,13 @@ class MtbddManager:
     def terminal(self, value: float) -> NodeRef:
         ref = self._terminals.get(value)  # a hit equals a valid stored float
         if ref is None:
-            value = float(value)
-            if math.isnan(value) or math.isinf(value) or value < 0.0:
+            if not 0.0 <= value < math.inf:  # also refuses NaN
                 raise ValueError(
                     f"terminal value must be finite and nonnegative: {value!r}"
                 )
-            ref = self._leaf(0.0 if value == 0.0 else value)  # collapse -0.0
+            value += 0.0  # a float, and -0.0 collapsed into 0.0
+            ref = self._terminals[value] = len(self._nodes)
+            self._nodes.append((self._leaf_level, value))
         return ref
 
     def _leaf(self, value: float) -> NodeRef:

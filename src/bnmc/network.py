@@ -88,22 +88,28 @@ def network_from_cpts(
 
 
 def validate(bn: BayesianNetwork) -> list[str]:
-    """Check every structural invariant; returns one message per violation.
+    """Check every invariant of a network; returns one message per violation.
 
-    The missing rows of one CPT are one message, naming the first in
-    ascending order and how many are missing.
+    The checks fall in two halves. The structural half covers the variable
+    ids and names, the CPT count and order, the parent lists, and each row's
+    key and width: the facts the other checks index by. The value half,
+    `validate_values`, covers the domains, acyclicity, and each row's
+    entries and sum. A network built in code needs both. A caller that
+    refuses every structural fault itself, as `bif.document_to_network`
+    does, needs only the value half: on a network whose structure is sound,
+    `validate(bn) == validate_values(bn)`.
+
+    Messages come in one order: ids, domains, names, CPT count and order,
+    parents, the cycle, then each CPT's rows. A structural fault that the
+    later checks would index past ends the list. The missing rows of one CPT
+    are one message, naming the first in ascending order and how many are
+    missing; the other row messages follow in ascending key order.
     """
-    out: list[str] = []
     ids = [v.id for v in bn.variables]
     if ids != list(range(len(ids))):
-        out.append(f"variable ids must be dense 0..{len(ids) - 1}, got {ids}")
-        return out  # downstream checks index by id
+        return [f"variable ids must be dense 0..{len(ids) - 1}, got {ids}"]
 
-    for v in bn.variables:
-        if len(v.domain) < 1:
-            out.append(f"variable {v.name}: empty domain")
-        if len(set(v.domain)) != len(v.domain):
-            out.append(f"variable {v.name}: duplicate domain labels")
+    out = _domain_problems(bn)
     names = [v.name for v in bn.variables]
     if len(set(names)) != len(names):
         out.append("duplicate variable names")
@@ -124,11 +130,7 @@ def validate(bn: BayesianNetwork) -> list[str]:
     if malformed:
         return out + malformed  # the order and the rows index by parent id
 
-    try:
-        topological_order(bn)
-    except CycleError as exc:
-        out.append(str(exc))
-
+    out += _cycle_problems(bn)
     for cpt in bn.cpts:
         v = bn.variables[cpt.owner]
         ranges = [range(len(bn.variables[p].domain)) for p in cpt.parents]
@@ -154,21 +156,76 @@ def validate(bn: BayesianNetwork) -> list[str]:
             )
         for key in sorted(unexpected):
             out.append(f"variable {v.name}: unexpected CPT row for parents {key}")
-        for key in sorted(in_range):
+        width = len(v.domain)
+        failed = [
+            key
+            for key in in_range
+            if len(cpt.rows[key]) != width or not _sound_row(cpt.rows[key])
+        ]
+        for key in sorted(failed):
             row = cpt.rows[key]
-            if len(row) != len(v.domain):
+            if len(row) != width:
                 out.append(
                     f"variable {v.name}, row {key}: {len(row)} entries for "
-                    f"domain size {len(v.domain)}"
+                    f"domain size {width}"
                 )
-                continue
-            if any(not 0.0 <= p <= 1.0 for p in row):  # also catches NaN
-                out.append(f"variable {v.name}, row {key}: entry outside [0, 1]")
-            total = sum(row)
-            if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
-                out.append(
-                    f"variable {v.name}, row {key}: probabilities sum to {total!r}"
-                )
+            else:
+                out += _row_problems(v, key, row)
+    return out
+
+
+def validate_values(bn: BayesianNetwork) -> list[str]:
+    """The value half of `validate`: domains, acyclicity, row entries and
+    sums, with `validate`'s messages in its order.
+
+    The structure must be sound (see `validate`); it is not checked. Each
+    row is screened by its sum, least and greatest entry, and only the keys
+    of rows that fail are sorted, to word them.
+    """
+    out = _domain_problems(bn) + _cycle_problems(bn)
+    for cpt in bn.cpts:
+        rows = cpt.rows
+        failed = [key for key, row in rows.items() if not _sound_row(row)]
+        for key in sorted(failed):
+            out += _row_problems(bn.variables[cpt.owner], key, rows[key])
+    return out
+
+
+def _domain_problems(bn: BayesianNetwork) -> list[str]:
+    out = []
+    for v in bn.variables:
+        if len(v.domain) < 1:
+            out.append(f"variable {v.name}: empty domain")
+        if len(set(v.domain)) != len(v.domain):
+            out.append(f"variable {v.name}: duplicate domain labels")
+    return out
+
+
+def _cycle_problems(bn: BayesianNetwork) -> list[str]:
+    try:
+        topological_order(bn)
+    except CycleError as exc:
+        parent, child = bn.variables[exc.parent].name, bn.variables[exc.child].name
+        return [f"cycle detected involving edge {parent} -> {child}"]
+    return []
+
+
+def _sound_row(row: tuple[float, ...]) -> bool:
+    """Whether `_row_problems` finds nothing in a row of the right width.
+
+    A sum within the tolerance of 1 is finite, so no entry is NaN or
+    infinite, and the least and greatest entries are exact.
+    """
+    return abs(sum(row) - 1.0) <= ROW_SUM_TOLERANCE and 0.0 <= min(row) and max(row) <= 1.0
+
+
+def _row_problems(v: Variable, key: tuple[int, ...], row: tuple[float, ...]) -> list[str]:
+    out = []
+    if any(not 0.0 <= p <= 1.0 for p in row):  # also catches NaN
+        out.append(f"variable {v.name}, row {key}: entry outside [0, 1]")
+    total = sum(row)
+    if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
+        out.append(f"variable {v.name}, row {key}: probabilities sum to {total!r}")
     return out
 
 

@@ -97,21 +97,23 @@ def _table_diagram(
 ) -> NodeRef:
     """Diagram over the owner's and parents' bits yielding the row probability."""
     cpt = bn.cpts[var_id]
+    # Parents precede their child in the topological order, so the owner is
+    # last in its scope (a stable sort keeps it after a parent of no bits).
     scope = sorted((*cpt.parents, var_id), key=lambda w: levels[w].start)
     sizes = [len(bn.variables[w].domain) for w in scope]
-    parents = [scope.index(p) for p in cpt.parents]
-    owner = scope.index(var_id)
     # One leaf per table entry, in diagram order with the last scope variable
-    # fastest. Then, from the last scope variable up, each run of its `size`
-    # values is padded with zeros to its 2^width bit patterns and its bits
-    # merged one per pass from the bottom: siblings differ only in the last
-    # remaining bit. An iterative build leaves no self-referencing closure to
-    # keep `mgr` alive.
+    # fastest: each row's entries in turn, the rows taken in the order of
+    # their keys over the level-sorted parents. Then, from the last scope
+    # variable up, each run of its `size` values is padded with zeros to its
+    # 2^width bit patterns and its bits merged one per pass from the bottom:
+    # siblings differ only in the last remaining bit. An iterative build
+    # leaves no self-referencing closure to keep `mgr` alive.
     zero = mgr.terminal(0.0)
-    nodes = [
-        mgr.terminal(cpt.rows[tuple(values[i] for i in parents)][values[owner]])
-        for values in product(*map(range, sizes))
-    ]
+    keys = product(*map(range, sizes[:-1]))
+    if scope[:-1] != list(cpt.parents):
+        slots = [scope.index(p) for p in cpt.parents]
+        keys = (tuple([key[i] for i in slots]) for key in keys)
+    nodes = [mgr.terminal(p) for row in map(cpt.rows.__getitem__, keys) for p in row]
     # Scope variables are merged from the last level up, so both children of
     # a new node lie below its level and `_mk` needs none of `node`'s checks.
     for w, size in zip(reversed(scope), reversed(sizes)):

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import math
 import random
 import re
 from itertools import product
@@ -10,16 +13,23 @@ from bnmc import fixtures
 from bnmc.bif import (
     _PUNCTUATION,
     _SCAN,
+    BifDocument,
+    ProbabilityBlock,
+    VariableBlock,
     _Parser,
     declared_sizes,
     document_to_network,
     parse_bif,
     parse_bif_document,
+    validated_network,
     write_bif,
 )
 from bnmc.errors import BifParseError
 from bnmc.gen import random_network
 from bnmc.network import Cpt, Variable, network_from_cpts, validate
+from bnmc.symbolic import compile_network
+
+from conftest import permuted_ids
 
 MINIMAL = """
 network tiny { }
@@ -523,3 +533,159 @@ def test_tokens_are_the_scanner_tokens(text):
             _Parser(text)
     else:
         assert _Parser(text).tokens == reference
+
+
+_PIECE = re.compile(r"\s+|[{}()\[\]|,;]|[^\s{}()\[\]|,;]+")
+_ODD_NUMBERS = ("nan", "inf", "1e400", "-0.25", "-0.0")
+
+
+def _mutant(rng: random.Random) -> str:
+    """`write_bif` text of a seeded small network with one token mutated: a
+    token dropped, doubled or swapped with a near one, a comma doubled
+    inside parentheses (a parent-label list), or a probability replaced by
+    an odd number."""
+    bn = random_network(rng, max_vars=5, min_domain=1, max_domain=3, edge_prob=0.5,
+                        zero_entry_prob=0.2)
+    if rng.random() < 0.3:
+        bn = permuted_ids(bn, rng)
+    pieces = _PIECE.findall(write_bif(bn))
+    tokens = [i for i, piece in enumerate(pieces) if not piece.isspace()]
+    depth, commas, numbers = 0, [], []
+    for i in tokens:
+        depth += {"(": 1, ")": -1}.get(pieces[i], 0)
+        if pieces[i] == "," and depth:
+            commas.append(i)
+        elif "." in pieces[i] or "e" in pieces[i]:
+            try:
+                float(pieces[i])
+            except ValueError:
+                continue
+            numbers.append(i)
+    kind = rng.choice(["drop", "double", "swap", "comma", "number", "number"])
+    if kind == "comma" and commas:
+        pieces[rng.choice(commas)] = ",,"
+    elif kind == "number" and numbers:
+        pieces[rng.choice(numbers)] = rng.choice(_ODD_NUMBERS)
+    else:
+        at = rng.randrange(len(tokens))
+        i = tokens[at]
+        if kind == "double":
+            pieces[i] += " " + pieces[i]
+        elif kind == "swap" and at + 1 < len(tokens):
+            j = tokens[min(len(tokens) - 1, at + rng.randint(1, 4))]
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        else:
+            pieces[i] = ""
+    return "".join(pieces)
+
+
+@functools.cache
+def _mutants() -> tuple[str, ...]:
+    """2,000 mutated texts, drawn once per session."""
+    rng = random.Random(2028)
+    return tuple(_mutant(rng) for _ in range(2000))
+
+
+def _read(text: str) -> str:
+    try:
+        return repr(parse_bif_document(text))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_mutated_texts_read_as_pinned():
+    # One digest over every mutant's document `repr`, or its exception type
+    # and message: a change to the reader that moves any outcome fails here.
+    digest = hashlib.sha256()
+    for text in _mutants():
+        digest.update(_read(text).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == (
+        "ef8f1663a4c523fd3f0f4a687cfe712d5e8fe9b79dbdc2aa8dfca6ca0db52e30"
+    )
+
+
+def _validated_as_in_full(doc: BifDocument) -> list[str] | None:
+    """Check `validated_network` against conversion and the full `validate`;
+    return that validation's messages, or None when conversion refuses."""
+    try:
+        bn = document_to_network(doc)
+    except BifParseError as exc:
+        with pytest.raises(BifParseError) as info:
+            validated_network(doc)
+        assert str(info.value) == str(exc)
+        return None
+    problems = validate(bn)
+    if problems:
+        with pytest.raises(BifParseError) as info:
+            validated_network(doc)
+        assert str(info.value) == "invalid network: " + "; ".join(problems)
+    else:
+        assert validated_network(doc) == bn
+    return problems
+
+
+def test_validated_network_matches_full_validation_on_mutants():
+    # Conversion refuses every structural fault, so the value half of
+    # `validate` alone must refuse exactly what the whole refuses, in words.
+    outcomes = {"refused": 0, "invalid": 0, "valid": 0}
+    for text in _mutants():
+        try:
+            doc = parse_bif_document(text)
+        except BifParseError:
+            continue
+        problems = _validated_as_in_full(doc)
+        outcomes["refused" if problems is None else "invalid" if problems else "valid"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+_AB = "variable a { type discrete [ 2 ] { 0, 1 }; }\nvariable b { type discrete [ 2 ] { 0, 1 }; }\n"
+
+
+@pytest.mark.parametrize(
+    "doc, problems",
+    [
+        (
+            parse_bif_document("network t { }\n" + _VAR + "probability ( x ) { table 1.5, -0.5; }\n"),
+            ["variable x, row (): entry outside [0, 1]"],
+        ),
+        (
+            BifDocument("t", [VariableBlock("x", ())], [ProbabilityBlock("x", (), table=())]),
+            ["variable x: empty domain", "variable x, row (): probabilities sum to 0"],
+        ),
+        (
+            parse_bif_document(
+                "network t { }\nvariable x { type discrete [ 2 ] { a, a }; }\n"
+                "probability ( x ) { table 0.5, 0.5; }\n"
+            ),
+            ["variable x: duplicate domain labels"],
+        ),
+        (
+            parse_bif_document(
+                "network t { }\n" + _VAR + "probability ( x | x ) { (no) 0.5, 0.5; (yes) 0.5, 0.5; }\n"
+            ),
+            ["cycle detected involving edge x -> x"],
+        ),
+        (
+            parse_bif_document(
+                "network t { }\n" + _AB + "probability ( a | b ) { (0) 0.5, 0.5; (1) 0.5, 0.5; }\n"
+                "probability ( b | a ) { (0) 0.5, 0.5; (1) 0.5, 0.5; }\n"
+            ),
+            ["cycle detected involving edge b -> a"],
+        ),
+    ],
+    ids=["sums-to-one-out-of-range", "empty-domain", "duplicate-labels", "self-parent",
+         "two-variable-cycle"],
+)
+def test_validated_network_matches_full_validation(doc, problems):
+    assert _validated_as_in_full(doc) == problems
+
+
+def test_negative_zero_entries_are_accepted_and_compile_to_zero():
+    text = "network t { }\n" + _VAR + "probability ( x ) { table -0.0, 1.0; }\n"
+    bn = parse_bif(text)
+    assert _validated_as_in_full(parse_bif_document(text)) == []
+    sym = compile_network(bn)
+    lo, _ = sym.manager.cofactors(sym.cpt_refs[0])
+    zero = sym.manager.terminal_value(lo)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    assert lo == sym.manager.terminal(0.0)

@@ -105,7 +105,7 @@ def test_validate_reports_cycle():
         ({1: (-1,)}, "variable v1: CPT parents (-1,) must be distinct known ids, ascending"),
         ({2: (0, 0)}, "variable v2: CPT parents (0, 0) must be distinct known ids, ascending"),
         ({2: (1, 0)}, "variable v2: CPT parents (1, 0) must be distinct known ids, ascending"),
-        ({1: (1,)}, "cycle detected involving edge 1 -> 1"),
+        ({1: (1,)}, "cycle detected involving edge v1 -> v1"),
     ],
     ids=["unknown", "negative", "repeated", "unsorted", "self"],
 )
