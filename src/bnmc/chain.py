@@ -19,14 +19,15 @@ by every state that reads it; when a row prunes nothing they are one tuple.
 `successors` rebuilds a state's `(p, target)` edges. The final states are
 the last layer, a suffix of the indices.
 
-A state that disagrees with a binding reaches no final state extending it,
-so `descend` answers a binding by one forward pass down the layers: a free
-layer expands every kept edge, a bound layer only the agreeing child. The
-mass of a binding is the probability of ever reaching a state that satisfies
-it, so its pass stops at the layer of the deepest bound variable; every
-layer below would only multiply by row sums of 1. `final_states` and
-`path_probability` descend to the final layer. The backward sweep in `reach`
-serves only arbitrary goal sets.
+The mass of a binding is the probability of ever reaching a state that
+satisfies it, and `descend` is the tree's only way to compute it. A state
+that disagrees with a binding reaches no state extending it, so the mass is
+one forward pass down the layers: a free layer expands every kept edge, a
+bound layer only the agreeing child. The pass stops at the layer of the
+deepest bound variable; every layer below would only multiply by row sums
+of 1. `MarkovChain.satisfies` is the one test of a state against a binding.
+`final_states` applies it to the last layer, which gives the goal set of
+the paper's reduction, and `reach.reach_probability` sweeps back from it.
 
 Every field of a tree but `masses` is fixed by `build_mc`.
 `reach.conditional_query` fills `MarkovChain.masses` as queries arrive: one
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from math import fsum
 from operator import itemgetter
 from typing import ClassVar, Iterable, Iterator, Mapping
 
@@ -105,9 +107,15 @@ class MarkovChain:
         # Every state before the last layer has a first child.
         return range(len(self.first_child), len(self.states))
 
-    def assignment_of(self, state_index: int) -> dict[int, int]:
-        """Bound variables of a state as an assignment keyed by variable id."""
-        return dict(zip(self.order, self.states[state_index]))
+    def satisfies(self, state_index: int, binding: Assignment) -> bool:
+        """Whether the state binds every variable of `binding` to its value."""
+        # A position past the state's end is unset and matches no value.
+        state = self.states[state_index]
+        for var_id, value in binding.items():
+            pos = self.position[var_id]
+            if pos >= len(state) or state[pos] != value:
+                return False
+        return True
 
     def render_state(self, state_index: int) -> str:
         state = self.states[state_index]
@@ -209,12 +217,10 @@ def build_mc(
     )
 
 
-def descend(
-    mc: MarkovChain, binding: Assignment, *, to_final: bool
-) -> list[tuple[int, float]]:
-    """(index, path probability) of every state that agrees with `binding`
-    in the layer where its deepest bound variable is fixed, or in the final
-    layer when `to_final` is set.
+def descend(mc: MarkovChain, binding: Assignment) -> float:
+    """The mass of `binding`: the probability of ever reaching a state that
+    agrees with it, as the `fsum` of the path probabilities of the agreeing
+    states in the layer where its deepest bound variable is fixed.
 
     One forward pass down the BFS layers from the initial state: a free layer
     expands each state's row, a bound layer takes only the child of the bound
@@ -224,9 +230,8 @@ def descend(
     wanted: list[int | None] = [None] * len(mc.order)
     for var_id, value in binding.items():
         wanted[mc.position[var_id]] = value
-    if not to_final:
-        while wanted and wanted[-1] is None:
-            wanted.pop()
+    while wanted and wanted[-1] is None:
+        wanted.pop()
     first_child, edges, edge_of = mc.first_child, mc.edges, mc.edge_of
     layer = [(mc.initial, 1.0)]
     for value in wanted:
@@ -243,21 +248,13 @@ def descend(
                 for idx, m in layer
                 if (edge := edge_of[idx][value]) is not None
             ]
-    return layer
+    return fsum(m for _, m in layer)
 
 
 def final_states(mc: MarkovChain, pred: Assignment) -> set[int]:
     """Indices of fully-evaluated states whose evaluation extends `pred`."""
     check_assignment(mc.network, pred)
-    return {idx for idx, _ in descend(mc, pred, to_final=True)}
-
-
-def path_probability(mc: MarkovChain, final_index: int) -> float:
-    """Product of edge probabilities on the unique root path to a final state."""
-    if not 0 <= final_index < len(mc.states) or not mc.is_final(final_index):
-        raise ValueError(f"state {final_index} is not a final state")
-    [(_, product)] = descend(mc, mc.assignment_of(final_index), to_final=True)
-    return product
+    return {idx for idx in mc.final_indices() if mc.satisfies(idx, pred)}
 
 
 def query_plan(bn: BayesianNetwork) -> tuple[list[int], dict[int, int]]:

@@ -77,13 +77,26 @@ def _resolve_caps(args) -> None:
 
 
 def _parse_bindings(items: list[str], decode: Callable[[str, str], tuple]) -> dict:
-    """`var=value` items as a binding; `decode(var, value)` gives its key and value."""
+    """`var=value` items as a binding; `decode(var, value)` gives its key and value.
+
+    A name or a label may hold `=`, so each `=` of an item is tried from the
+    left and the first split that `decode` accepts is taken. When none is,
+    the first split's error is raised.
+    """
     out: dict = {}
     for item in items:
-        name, sep, label = item.partition("=")
-        if not sep:
+        splits = [(item[:pos], item[pos + 1 :]) for pos, c in enumerate(item) if c == "="]
+        if not splits:
             raise BnmcError(f"binding {item!r} is not of the form var=value")
-        key, value = decode(name, label)
+        refusals = []
+        for name, label in splits:
+            try:
+                key, value = decode(name, label)
+                break
+            except BnmcError as exc:
+                refusals.append(exc)
+        else:
+            raise refusals[0]
         if key in out:
             raise BnmcError(f"variable {name} bound twice")
         out[key] = value
@@ -118,15 +131,16 @@ def cmd_stats(args) -> int:
 def cmd_translate(args) -> int:
     # The cap needs only the declared structure: refuse before any table is
     # converted. A structure with no topological order is left to the
-    # conversion, which reports it.
+    # conversion, which reports it; so `bound` is set once it succeeds.
     doc = bif.parse_bif_document(Path(args.network).read_text("utf-8"))
     sizes = bif.declared_sizes(doc)
     if sizes is not None:
-        chain.check_state_cap(chain.prefix_bound(sizes), args.state_cap)
+        bound = chain.prefix_bound(sizes)
+        chain.check_state_cap(bound, args.state_cap)
     bn = bif.validated_network(doc)
     mc = chain.build_mc(bn, keep_zero_edges=args.keep_zero_edges, state_cap=args.state_cap)
     text = export.export_jani(mc) if args.format == "jani" else export.export_dot(mc)
-    report = f"states: {len(mc.states)} (bound {chain.size_bound(bn)})"
+    report = f"states: {len(mc.states)} (bound {bound})"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(report)

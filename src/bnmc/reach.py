@@ -2,13 +2,14 @@
 
 The chain is acyclic apart from final self-loops, so a single backward sweep
 in reverse insertion order is exact; no iterative solving is needed. The
-sweep serves only arbitrary goal sets: the right side of `check_prop2`, whose
-left side is one forward pass over the tree. A conditional query needs two
+sweep is the paper's reduction: `reach_probability` of a goal set such as
+`final_states` of a binding, and the right side of `check_prop2`, whose left
+side is one forward pass over the tree. A conditional query needs two
 masses, and the mass of a binding is the probability of ever reaching a
-state that satisfies it: the sum of the path probabilities that
-`chain.descend` finds in one forward pass, which stops at the layer where
-the binding's deepest variable is fixed. The query chain is walked layer by
-layer and never stored; both masses come from its last layer.
+state that satisfies it. On the tree `chain.descend` gives it in one forward
+pass, which stops at the layer where the binding's deepest variable is
+fixed. The query chain is walked layer by layer and never stored; both
+masses come from its last layer.
 
 A model that answers many queries meets the same bindings again, and every
 hypothesis asked under one evidence shares its denominator. `remembered`
@@ -22,6 +23,7 @@ the oracle keep no model, and so no memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import fsum
 from typing import Callable, Iterable, Mapping
 
@@ -141,18 +143,14 @@ def conditional_query(mc: MarkovChain, q: ReachQuery) -> float:
     """Conditional probability of the hypothesis given the evidence.
 
     Both eventualities collapse to one goal set because evaluations only grow
-    along a path of the tree-shaped chain, so each mass is the sum of the path
-    probabilities of the states that satisfy it in the layer of its deepest
-    bound variable. Going on to the final states would only multiply each by
-    row sums of 1. Each mass is remembered in `mc.masses`.
+    along a path of the tree-shaped chain, so each mass, `chain.descend`, is
+    the sum of the path probabilities of the states that satisfy it in the
+    layer of its deepest bound variable. Going on to the final states would
+    only multiply each by row sums of 1. Each mass is remembered in
+    `mc.masses`.
     """
     check_assignment(mc.network, q.combined())
-    return conditional(
-        remembered(
-            mc.masses, lambda b: fsum(p for _, p in chain.descend(mc, b, to_final=False))
-        ),
-        q,
-    )
+    return conditional(remembered(mc.masses, partial(chain.descend, mc)), q)
 
 
 def query_chain_conditional(
@@ -178,16 +176,6 @@ def query_chain_conditional(
     return conditional(lambda b: reached if b == q.evidence else agreed, q)
 
 
-def _satisfies(mc: MarkovChain, state_index: int, binding: Mapping[int, int]) -> bool:
-    # A position past the state's end is unset and matches no value.
-    state = mc.states[state_index]
-    for var_id, value in binding.items():
-        pos = mc.position[var_id]
-        if pos >= len(state) or state[pos] != value:
-            return False
-    return True
-
-
 def check_prop2(mc: MarkovChain, q: ReachQuery) -> bool:
     """Compare the conjunction of eventualities against the single-goal form
     (Proposition 2), within PROP2_TOLERANCE.
@@ -208,16 +196,14 @@ def check_prop2(mc: MarkovChain, q: ReachQuery) -> bool:
     mass = [0.0] * len(mc.states)
     seen = [(False, False)] * len(mc.states)
     mass[root] = 1.0
-    seen[root] = (_satisfies(mc, root, h), _satisfies(mc, root, e))
+    seen[root] = (mc.satisfies(root, h), mc.satisfies(root, e))
     # BFS layout: every parent precedes its children, and finals come last.
     for idx in range(mc.final_indices().start):
         m, (seen_h, seen_e) = mass[idx], seen[idx]
         for p, t in mc.successors(idx):
             mass[t] = m * p
-            seen[t] = (seen_h or _satisfies(mc, t, h), seen_e or _satisfies(mc, t, e))
+            seen[t] = (seen_h or mc.satisfies(t, h), seen_e or mc.satisfies(t, e))
     lhs = fsum(mass[idx] for idx in mc.final_indices() if all(seen[idx]))
-    goal = {
-        idx for idx in range(len(mc.states)) if _satisfies(mc, idx, combined)
-    }
+    goal = {idx for idx in range(len(mc.states)) if mc.satisfies(idx, combined)}
     rhs = reach_probability(mc, goal)
     return abs(lhs - rhs) <= PROP2_TOLERANCE

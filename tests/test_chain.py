@@ -12,8 +12,8 @@ from bnmc.chain import (
     MarkovChain,
     build_mc,
     check_state_cap,
+    descend,
     final_states,
-    path_probability,
     prefix_bound,
     size_bound,
 )
@@ -180,8 +180,9 @@ def test_path_product_equals_joint(seed):
     bn = random_network(random.Random(seed), max_vars=5, max_domain=3)
     mc = build_mc(bn)
     for idx in mc.final_indices():
-        expected = joint_probability(bn, mc.assignment_of(idx))
-        assert path_probability(mc, idx) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        full = dict(zip(mc.order, mc.states[idx]))
+        expected = joint_probability(bn, full)
+        assert descend(mc, full) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("keep_zero_edges", [False, True])
@@ -219,13 +220,6 @@ def test_build_mc_pinned_digest():
     assert digest.hexdigest() == (
         "100055d931629a14777be1cf77fb0333e353a6d1927f53811a75dcd3cebb50b8"
     )
-
-
-def test_path_probability_refuses_other_states(student_mood_dpg):
-    mc = build_mc(student_mood_dpg)
-    for idx in (mc.initial, mc.final_indices().start - 1, len(mc.states), -1):
-        with pytest.raises(ValueError):
-            path_probability(mc, idx)
 
 
 def test_chain_retains_under_256_bytes_per_state():

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from bnmc.gen import random_network, random_query
 from bnmc.network import Cpt, Variable, network_from_cpts
 from bnmc.oracle import oracle_infer
 from bnmc.reach import ReachQuery, ancestral_query
+from bnmc.symbolic import STRATEGIES
 
 import random
 
@@ -53,25 +56,30 @@ def run(args, capsys):
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes, as the benchmark caps its own runs
 
 
-def run_child(args, *, timeout=60):
-    """`bnmc args` as `python -m bnmc.cli` in a child process capped at
-    CHILD_ADDRESS_SPACE, so a walk that grows without bound fails within
-    `timeout` seconds, as a MemoryError or a TimeoutExpired, instead of
-    holding the suite."""
+def run_python(args, *, timeout=60):
+    """`python args` in a child process capped at CHILD_ADDRESS_SPACE, so a
+    walk that grows without bound fails within `timeout` seconds, as a
+    MemoryError or a TimeoutExpired, instead of holding the suite. The
+    child imports the package and the test modules."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    tests = Path(__file__).resolve().parent
     done = subprocess.run(
-        [sys.executable, "-m", "bnmc.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
         preexec_fn=limit,
         timeout=timeout,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def run_child(args, *, timeout=60):
+    """`bnmc args` as `python -m bnmc.cli` in a capped child process."""
+    return run_python(["-m", "bnmc.cli", *args], timeout=timeout)
 
 
 def test_stats_row(bif_path, capsys):
@@ -168,6 +176,46 @@ def test_infer_unknown_name_message(bif_path, capsys):
     for flag in ("--ev", "--hyp"):
         code, out, err = run(["infer", bif_path, flag, "Nope=1"], capsys)
         assert (code, out, err) == (2, "", "error: unknown variable name 'Nope'\n")
+
+
+def test_infer_binds_names_and_labels_that_hold_an_equals_sign(tmp_path, capsys):
+    # write_bif and parse_bif carry `=` in a name or a label.
+    ab = Variable(id=0, name="a=b", domain=("no", "yes"))
+    c = Variable(id=1, name="c", domain=("x=1", "x=2"))
+    bn = network_from_cpts(
+        "eq",
+        [ab, c],
+        [
+            Cpt(owner=0, parents=(), rows={(): (0.25, 0.75)}),
+            Cpt(owner=1, parents=(0,), rows={(0,): (0.5, 0.5), (1,): (0.1, 0.9)}),
+        ],
+    )
+    path = tmp_path / "eq.bif"
+    path.write_text(write_bif(bn), encoding="utf-8")
+    code, out, err = run(["infer", str(path), "--hyp", "a=b=yes", "--engine", "all"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[:3] == ["explicit: 0.75", "symbolic: 0.75", "oracle: 0.75"]
+    args = ["infer", str(path), "--ev", "a=b=yes", "--hyp", "c=x=2", "--engine", "oracle"]
+    code, out, err = run(args, capsys)
+    assert code == 0, err
+    assert float(out) == pytest.approx(0.9, abs=1e-15)
+    # When no split is accepted, the error is the first split's.
+    code, out, err = run(["infer", str(path), "--hyp", "a=b=maybe"], capsys)
+    assert (code, out, err) == (2, "", "error: unknown variable name 'a'\n")
+    code, out, err = run(["infer", str(path), "--hyp", "c=x=3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: value 'x=3' not in the domain of c ['x=1', 'x=2']\n"
+
+
+def test_psdd_eval_binds_a_vtree_name_that_holds_an_equals_sign(tmp_path, capsys):
+    vtree, diagram = tmp_path / "eq.vtree", tmp_path / "eq.psdd"
+    vtree.write_text("L 0 x=y\n", encoding="utf-8")
+    diagram.write_text("T 0 0 0.8\n", encoding="utf-8")
+    code, out, err = run(["psdd-eval", str(vtree), str(diagram), "--hyp", "x=y=1"], capsys)
+    assert code == 0, err
+    assert float(out) == pytest.approx(0.8, abs=1e-15)
+    code, out, err = run(["psdd-eval", str(vtree), str(diagram), "--hyp", "x=y=maybe"], capsys)
+    assert (code, out, err) == (2, "", "error: unknown PSDD variable 'x'\n")
 
 
 def test_infer_refuses_infinite_domain_count(tmp_path, capsys):
@@ -1077,3 +1125,76 @@ def test_mutated_inputs_end_with_an_exit_code(vtree_text, psdd_text, bif_text, c
             ["bench", network, "--counts", "1"],
         ):
             assert main(args) in (0, 2, 3, 4), args
+
+
+def odd_network(rng):
+    """0 to 6 variables of 1 to 3 values, up to 5 parents each, and rows that
+    hold zeros or a single 1."""
+    variables = [
+        Variable(id=i, name=f"v{i}", domain=tuple(f"d{k}" for k in range(rng.randint(1, 3))))
+        for i in range(rng.randint(0, 6))
+    ]
+    cpts = []
+    for v in variables:
+        parents = tuple(sorted(rng.sample(range(v.id), min(v.id, rng.randint(0, 5)))))
+        keys = itertools.product(*(range(len(variables[p].domain)) for p in parents))
+        rows = {key: odd_row(rng, len(v.domain)) for key in keys}
+        cpts.append(Cpt(owner=v.id, parents=parents, rows=rows))
+    return network_from_cpts("odd", variables, cpts)
+
+
+def odd_row(rng, size):
+    if rng.random() < 0.3:
+        hot = rng.randrange(size)
+        return tuple(float(k == hot) for k in range(size))
+    weights = [rng.randrange(4) for _ in range(size)]
+    weights[rng.randrange(size)] += 1
+    return tuple(w / sum(weights) for w in weights)
+
+
+def odd_network_exit_codes(tmp, count):
+    """The exit codes of every command on `count` seeded odd networks, each
+    as written and with one row of its text dropped; run in a child process
+    by the test below."""
+    rng = random.Random(29)
+    codes = {}
+    network, out = str(Path(tmp) / "odd.bif"), str(Path(tmp) / "out")
+    for _ in range(count):
+        bn = odd_network(rng)
+        text = write_bif(bn)
+        lines = text.splitlines(keepends=True)
+        rows = [k for k, line in enumerate(lines) if line.lstrip().startswith(("(", "table"))]
+        if rows:
+            del lines[rng.choice(rows)]
+        query = []
+        for v in bn.variables:
+            flag = rng.choice((None, None, "--ev", "--hyp"))
+            if flag:
+                query += [flag, f"{v.name}={rng.choice(v.domain)}"]
+        for variant in (text, "".join(lines)):
+            Path(network).write_text(variant, encoding="utf-8")
+            calls = [["stats", network]]
+            for form, keep in itertools.product(("jani", "dot"), ([], ["--keep-zero-edges"])):
+                calls.append(["translate", network, "--format", form, *keep, "-o", out])
+            for engine in ("all", "explicit"):
+                calls.append(["infer", network, "--engine", engine, *query])
+            for strategy in STRATEGIES:
+                calls.append(["bench", network, "--counts", "0,1", "--strategy", strategy])
+            for args in calls:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    code = main(args)
+                codes[code] = codes.get(code, 0) + 1
+    return codes
+
+
+def test_odd_shaped_networks_end_with_an_exit_code_in_every_command(tmp_path):
+    script = (
+        "import json, sys, test_cli; "
+        "print(json.dumps(test_cli.odd_network_exit_codes(sys.argv[1], 150)))"
+    )
+    code, out, err = run_python(["-c", script, str(tmp_path)], timeout=60)
+    assert code == 0, err
+    assert "Traceback" not in err
+    codes = {int(k): n for k, n in json.loads(out).items()}
+    assert codes.keys() <= {0, 2, 3, 4}, codes
+    assert codes.keys() >= {0, 2, 3}, codes
