@@ -8,8 +8,9 @@ opaque metadata on the surrounding block. Comments follow C conventions
 
 Only a `/` can start a comment, so text without one is split at punctuation
 and whitespace; text with one is scanned by `_SCAN`. Both give the same
-tokens, and errors the same positions. Plain variable blocks and rows are
-read from the token list in slices; anything else token by token.
+tokens, and errors the same positions. Blocks are read token by token; only
+a plain number list, numbers and single commas up to `;`, is read in one
+slice.
 
 Checks are split between two layers, so a cold read checks each row once.
 Conversion (`document_to_network`) owns the structural checks: it refuses
@@ -176,7 +177,7 @@ class _Parser:
 
     def _labels(self, closer: str) -> tuple[str, ...]:
         """Labels up to `closer`, which is consumed; commas are skipped."""
-        return tuple(tok for tok in self._until(closer) if tok != ",")
+        return tuple([tok for tok in self._until(closer) if tok != ","])
 
     def _property(self) -> str:
         # `property` already consumed; keep the raw remainder up to `;`.
@@ -204,9 +205,6 @@ class _Parser:
         return doc
 
     def _variable_block(self) -> VariableBlock:
-        plain = self._plain_variable_block()
-        if plain is not None:
-            return plain
         name = self.next()
         self.expect("{")
         values: tuple[str, ...] | None = None
@@ -236,52 +234,6 @@ class _Parser:
             raise BifParseError(f"variable {name}: missing 'type discrete' declaration")
         return VariableBlock(name=name, values=values, properties=tuple(props))
 
-    def _plain_variable_block(self) -> VariableBlock | None:
-        """`NAME { type discrete [ N ] { LABELS } ; }` read in slices, when the
-        block has that shape and N counts the labels; else None, and nothing
-        is consumed.
-        """
-        tokens, at = self.tokens, self.pos
-        if tokens[at + 1 : at + 5] != ["{", "type", "discrete", "["]:
-            return None
-        if tokens[at + 6 : at + 8] != ["]", "{"]:
-            return None
-        try:
-            close = tokens.index("}", at + 8)
-            count = float(tokens[at + 5])
-        except ValueError:
-            return None
-        values = tuple(tok for tok in tokens[at + 8 : close] if tok != ",")
-        if count != len(values) or tokens[close + 1 : close + 3] != [";", "}"]:
-            return None
-        self.pos = close + 3
-        return VariableBlock(name=tokens[at], values=values)
-
-    def _plain_rows(self, entries: list) -> str | None:
-        """Append each entry row `( LABELS ) NUMBERS ;` from here on, read in
-        slices, up to the first token that starts no such row; that token
-        is not consumed, and is returned.
-        """
-        tokens, at = self.tokens, self.pos
-        try:
-            while tokens[at] == "(":
-                close = tokens.index(")", at)
-                end = tokens.index(";", close)
-                # Numbers and single commas alternate, from a number to a
-                # number; a comma among the numbers fails `float`.
-                numbers, commas = tokens[close + 1 : end : 2], tokens[close + 2 : end : 2]
-                if (end - close) % 2 or commas.count(",") != len(commas):
-                    break
-                labels = tokens[at + 1 : close]
-                if "," in labels:
-                    labels = [tok for tok in labels if tok != ","]
-                entries.append((tuple(labels), tuple(map(float, numbers))))
-                at = end + 1
-        except (IndexError, ValueError):
-            pass
-        self.pos = at
-        return tokens[at] if at < len(tokens) else None
-
     def _probability_block(self) -> ProbabilityBlock:
         self.expect("(")
         owner = self.next()
@@ -295,14 +247,14 @@ class _Parser:
         table = None
         entries = []
         props = []
-        while self._plain_rows(entries) != "}":
+        while self.peek() != "}":
             tok = self.next()
-            if tok == "table":
+            if tok == "(":
+                entries.append((self._labels(")"), self._number_list()))
+            elif tok == "table":
                 if table is not None:
                     raise self._error(f"probability block {owner}: duplicate table row")
                 table = self._number_list()
-            elif tok == "(":
-                entries.append((self._labels(")"), self._number_list()))
             elif tok == "property":
                 props.append(self._property())
             else:
@@ -318,9 +270,10 @@ class _Parser:
 
 
 def parse_bif_document(text: str | bytes) -> BifDocument:
+    """Parse BIF text or UTF-8 bytes into blocks; one leading BOM is ignored."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    return _Parser(text).document()
+    return _Parser(text.removeprefix("\ufeff")).document()
 
 
 def _resolve(doc: BifDocument) -> tuple[list[Variable], list[dict[str, int]], Iterator]:

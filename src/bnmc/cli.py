@@ -50,7 +50,7 @@ def _resolve_caps(args) -> None:
     config = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text("utf-8"))
+            config = json.loads(Path(args.config).read_text("utf-8-sig"))
         except RecursionError:
             raise BnmcError(f"config file {args.config} is nested too deeply") from None
         if not isinstance(config, dict):
@@ -226,8 +226,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_psdd_eval(args) -> int:
-    vtree_text = Path(args.vtree).read_text("utf-8")
-    psdd_text = Path(args.psdd).read_text("utf-8")
+    vtree_text = Path(args.vtree).read_text("utf-8-sig")
+    psdd_text = Path(args.psdd).read_text("utf-8-sig")
     diagram = psdd.parse_psdd(vtree_text, psdd_text)
     report = psdd.validate_partition(diagram)
     if not report.ok:

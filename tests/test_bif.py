@@ -258,6 +258,33 @@ def test_parse_document_from_bytes():
     assert parse_bif_document(MINIMAL.encode("utf-8")) == parse_bif_document(MINIMAL)
 
 
+def test_a_leading_byte_order_mark_is_ignored():
+    doc = parse_bif_document(MINIMAL)
+    assert parse_bif_document("\ufeff" + MINIMAL) == doc
+    assert parse_bif_document(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8")) == doc
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\ufeff\ufeff" + MINIMAL, "line 1, col 1: expected 'network', got '\\ufeff'"),
+        (
+            "\ufeff" + MINIMAL.replace("{ }", "{\ufeff}"),
+            "line 2, col 15: unexpected '\\ufeff' in network block",
+        ),
+        (
+            MINIMAL.replace("variable", "\ufeffvariable"),
+            "line 3, col 1: expected 'variable' or 'probability', got '\\ufeffvariable'",
+        ),
+    ],
+)
+def test_a_byte_order_mark_elsewhere_is_refused(text, message):
+    for form in (text, text.encode("utf-8")):
+        with pytest.raises(BifParseError) as info:
+            parse_bif(form)
+        assert str(info.value) == message
+
+
 def test_declared_sizes_give_the_chain_size_bound():
     from bnmc.chain import prefix_bound, size_bound
 
@@ -304,6 +331,66 @@ def test_roundtrip_minimal():
 def test_roundtrip_random_networks(seed):
     bn = random_network(random.Random(seed), max_vars=6, max_domain=4)
     assert parse_bif(write_bif(bn)) == bn
+
+
+def _decorated_bif(bn, rng: random.Random) -> str:
+    """BIF text of `bn` in forms `write_bif` never writes: comments between
+    tokens, a `property` line in every block, number lists with or without
+    commas, parents in a shuffled order, one child's rows as a flat `table`
+    row in that order, and CRLF line ends."""
+
+    def line(*tokens: str) -> str:
+        out = [tokens[0]]
+        for tok in tokens[1:]:
+            out.append(rng.choice([" ", " /* note */ ", " // note\r\n", "\r\n  "]))
+            out.append(tok)
+        return "".join(out)
+
+    def listed(words) -> list[str]:
+        return [tok for word in words for tok in (word, ",")][:-1]
+
+    def numbers(row) -> list[str]:
+        words = [repr(p) for p in row]
+        return rng.choice([words, listed(words)])
+
+    lines = [line("network", bn.name, "{"), line("property", "kind", "=", "decorated", ";"), "}"]
+    for v in bn.variables:
+        lines.append(line("variable", v.name, "{"))
+        size = str(len(v.domain))
+        lines.append(line("type", "discrete", "[", size, "]", "{", *listed(v.domain), "}", ";"))
+        lines.append(line("property", "position", "=", "(", "1", ",", "2", ")", ";"))
+        lines.append("}")
+    with_parents = [cpt.owner for cpt in bn.cpts if cpt.parents]
+    flat = rng.choice(with_parents) if with_parents else None
+    for cpt in bn.cpts:
+        v = bn.variables[cpt.owner]
+        declared = rng.sample(cpt.parents, len(cpt.parents))
+        slots = [declared.index(u) for u in cpt.parents]
+        parents = ["|", *listed(bn.variables[u].name for u in declared)] if declared else []
+        lines.append(line("probability", "(", v.name, *parents, ")", "{"))
+        lines.append(line("property", "source", "=", "generated", ";"))
+        keys = product(*(range(len(bn.variables[u].domain)) for u in declared))
+        if cpt.owner == flat or not declared:
+            row = [p for key in keys for p in cpt.rows[tuple(key[i] for i in slots)]]
+            lines.append(line("table", *numbers(row), ";"))
+        else:
+            for key in keys:
+                labels = [bn.variables[u].domain[k] for u, k in zip(declared, key)]
+                row = cpt.rows[tuple(key[i] for i in slots)]
+                lines.append(line("(", *labels, ")", *numbers(row), ";"))
+        lines.append("}")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_every_rendering_of_a_network_parses_to_that_network():
+    rng = random.Random(2030)
+    for i in range(200):
+        bn = random_network(rng, max_vars=6, min_domain=1, max_domain=3, edge_prob=0.5,
+                            zero_entry_prob=0.2)
+        if i % 2:
+            bn = permuted_ids(bn, rng)
+        text = _decorated_bif(bn, rng)
+        assert parse_bif(text) == parse_bif(write_bif(bn)), text
 
 
 def _one_variable(name="t", variable="x", labels=("no", "yes")):
@@ -533,6 +620,36 @@ def test_tokens_are_the_scanner_tokens(text):
             _Parser(text)
     else:
         assert _Parser(text).tokens == reference
+
+
+class _TokenByToken(_Parser):
+    """A parser that reads every number list token by token."""
+
+    def _plain_numbers(self, start):
+        return None
+
+
+def _number_list_outcome(parser: _Parser) -> tuple:
+    try:
+        return repr(parser._number_list()), parser.pos
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    tokens=st.lists(
+        st.one_of(
+            st.sampled_from([",", ";", "x", "table", "(", "nan", "-inf", "inf", "1e400", "1_0"]),
+            st.floats().map(repr),
+            st.integers(-5, 5).map(str),
+        ),
+        max_size=12,
+    )
+)
+def test_the_one_slice_number_list_reads_as_the_token_loop(tokens):
+    text = " ".join(tokens)
+    assert _number_list_outcome(_Parser(text)) == _number_list_outcome(_TokenByToken(text))
 
 
 _PIECE = re.compile(r"\s+|[{}()\[\]|,;]|[^\s{}()\[\]|,;]+")

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -1096,6 +1097,48 @@ def mutated(draw, text):
 BUNDLED_VTREE, BUNDLED_PSDD = student_mood_texts()
 BUNDLED_BIF = write_bif(load_student_mood())
 CONFIG_TEXT = json.dumps({"state_cap": 1000, "enum_cap": 1000})
+
+
+@pytest.mark.parametrize(
+    "kind, refusal",
+    [
+        ("bif", "line 1, col 1: expected 'network', got '\\ufeff//'"),
+        ("vtree", "vtree line 1: cannot parse '\\ufeffc vtree for the student-mood fixture"),
+        ("psdd", "psdd line 1: cannot parse '\\ufeffc PSDD for the student-mood fixture"),
+        ("config", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ],
+)
+def test_a_leading_byte_order_mark_is_ignored_in_every_input(tmp_path, capsys, kind, refusal):
+    texts = {
+        "bif": (resources.files("bnmc") / "data" / "student_mood.bif").read_text("utf-8"),
+        "vtree": BUNDLED_VTREE,
+        "psdd": BUNDLED_PSDD,
+        "config": CONFIG_TEXT,
+    }
+    bif, vtree, psdd, config = (str(tmp_path / name) for name in texts)
+    commands = [
+        ["--config", config, "infer", bif, "--hyp", "Mood=0", "--engine", "all"],
+        ["--config", config, "psdd-eval", vtree, psdd, "--hyp", "Mood=0"],
+    ]
+
+    def outcomes(prefix: str) -> list:
+        for name, text in texts.items():
+            path = tmp_path / name
+            path.write_text((prefix if name == kind else "") + text, encoding="utf-8")
+        return [run(args, capsys) for args in commands]
+
+    plain = outcomes("")
+    assert [code for code, _, _ in plain] == [0, 0]
+    assert outcomes("\ufeff") == plain
+    # Only one mark is ignored: each command that reads the file refuses a
+    # second one with a one-line error that shows it.
+    reads = [kind in ("bif", "config"), kind in ("vtree", "psdd", "config")]
+    for (code, out, err), read, before in zip(outcomes("\ufeff" * 2), reads, plain):
+        if read:
+            assert (code, out, err.count("\n")) == (2, "", 1)
+            assert err.startswith("error: " + refusal), err
+        else:
+            assert (code, out, err) == before
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
