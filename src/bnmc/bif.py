@@ -8,9 +8,7 @@ opaque metadata on the surrounding block. Comments follow C conventions
 
 Only a `/` can start a comment, so text without one is split at punctuation
 and whitespace; text with one is scanned by `_SCAN`. Both give the same
-tokens, and errors the same positions. Blocks are read token by token; only
-a plain number list, numbers and single commas up to `;`, is read in one
-slice.
+tokens, and errors the same positions. Blocks are read token by token.
 
 Checks are split between two layers, so a cold read checks each row once.
 Conversion (`document_to_network`) owns the structural checks: it refuses
@@ -129,35 +127,9 @@ class _Parser:
             raise self._error(f"expected a whole number, got {self.tokens[self.pos - 1]!r}")
         return int(count)
 
-    def _plain_numbers(self, start: int) -> tuple[tuple[float, ...], int] | None:
-        """The numbers from token `start` up to the next `;` and the index
-        after it, when numbers and single commas alternate there; else None.
-        """
-        tokens = self.tokens
-        try:
-            end = tokens.index(";", start)
-        except ValueError:
-            return None
-        items = tokens[start:end]
-        numbers = items[0::2]
-        # A comma among `numbers` fails `float` below.
-        if len(items) % 2 == 0 or items.count(",") != len(numbers) - 1:
-            return None
-        try:
-            return tuple(map(float, numbers)), end + 1
-        except ValueError:
-            return None
-
     def _number_list(self) -> tuple[float, ...]:
         """Numbers up to `;`, which is consumed; a comma may separate two.
-
-        A plain list is read in one slice. Any other is read one token at a
-        time, which raises at the token that breaks it.
-        """
-        plain = self._plain_numbers(self.pos)
-        if plain is not None:
-            out, self.pos = plain
-            return out
+        A malformed list raises at the token that breaks it."""
         out = [self._number()]
         while self.peek() != ";":
             if self.peek() == ",":

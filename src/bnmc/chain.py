@@ -11,13 +11,12 @@ variable, appending its value, and its parents are always evaluated already.
 The chain is stored the way BFS insertion lays it out, as a sparse
 row-grouped matrix: the children of a state are one contiguous run of
 indices, and the states of one layer read only a few CPT rows. So a
-non-final state keeps just the index of its first child and references to
-its CPT row's kept edges: `((p, offset), ...)` in value order, where offset
-is the child's place in the run, and the same edges indexed by value, with
-`None` for a pruned zero entry. Both are built once per CPT row and shared
-by every state that reads it; when a row prunes nothing they are one tuple.
-`successors` rebuilds a state's `(p, target)` edges. The final states are
-the last layer, a suffix of the indices.
+non-final state keeps just the index of its first child and a reference to
+its CPT row's edge table: indexed by value, `(p, offset)` for a kept value,
+where offset is the child's place in the run, and `None` for a pruned zero
+entry. The table is built once per CPT row and shared by every state that
+reads it. `successors` rebuilds a state's `(p, target)` edges. The final
+states are the last layer, a suffix of the indices.
 
 The mass of a binding is the probability of ever reaching a state that
 satisfies it, and `descend` is the tree's only way to compute it. A state
@@ -77,10 +76,9 @@ class MarkovChain:
     position: Mapping[int, int]  # variable id -> index in `order`
     states: tuple[McState, ...]
     # Per non-final state, in index order: its first child's index, and its
-    # CPT row's kept edges in value order and indexed by value (shared per row).
+    # CPT row's edges indexed by value, None where pruned (shared per row).
     first_child: tuple[int, ...]
-    edges: tuple[tuple[Edge, ...], ...]
-    edge_of: tuple[tuple[Edge | None, ...], ...]
+    edges: tuple[tuple[Edge | None, ...], ...]
     # sorted binding items -> mass, filled by `reach.conditional_query`
     masses: dict[tuple[tuple[int, int], ...], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -95,7 +93,9 @@ class MarkovChain:
         if state_index >= len(self.first_child):
             return ((1.0, state_index),)
         first = self.first_child[state_index]
-        return tuple((p, first + offset) for p, offset in self.edges[state_index])
+        return tuple(
+            (edge[0], first + edge[1]) for edge in self.edges[state_index] if edge is not None
+        )
 
     def depth(self, state_index: int) -> int:
         return len(self.states[state_index])
@@ -164,47 +164,34 @@ def build_mc(
 
     states: list[McState] = [()]
     first_child: list[int] = []
-    edges: list[tuple[Edge, ...]] = []
-    edge_of: list[tuple[Edge | None, ...]] = []
+    edges: list[tuple[Edge | None, ...]] = []
     start = 0
     for var_id in order:
         cpt = bn.cpts[var_id]
-        size = len(bn.variables[var_id].domain)
-        tails = [(v,) for v in range(size)]
         slots = [position[parent] for parent in cpt.parents]
         # Per CPT row, keyed as itemgetter(*slots) reads a state (one slot
-        # gives the value itself): its kept edges in value order and indexed
-        # by value, and its children's tails. A child is its parent followed
-        # by a tail, the child's own value.
-        row_edges, row_edge_of, row_tails = {}, {}, {}
+        # gives the value itself): its edge table and its children's tails.
+        # A child is its parent followed by a tail, the child's own value.
+        row_tables, row_tails = {}, {}
         for key, row in cpt.rows.items():
             if len(slots) == 1:
                 key = key[0]
-            if keep_zero_edges or 0.0 not in row:
-                # Nothing pruned: a value's offset is the value itself.
-                row_edges[key] = row_edge_of[key] = tuple(zip(row, range(size)))
-                row_tails[key] = tails
-                continue
-            values = [v for v, p in enumerate(row) if p != 0.0]
-            row_edges[key] = kept = tuple(zip(map(row.__getitem__, values), range(size)))
-            by_value: list[Edge | None] = [None] * size
-            for v, edge in zip(values, kept):
-                by_value[v] = edge
-            row_edge_of[key] = tuple(by_value)
-            row_tails[key] = list(map(tails.__getitem__, values))
+            kept = [v for v, p in enumerate(row) if keep_zero_edges or p != 0.0]
+            table: list[Edge | None] = [None] * len(row)
+            for offset, v in enumerate(kept):
+                table[v] = (row[v], offset)
+            row_tables[key] = tuple(table)
+            row_tails[key] = [(v,) for v in kept]
         layer = states[start:]
         keys = list(map(itemgetter(*slots), layer)) if slots else [()] * len(layer)
-        layer_edges = list(map(row_edges.__getitem__, keys))
+        layer_tails = list(map(row_tails.__getitem__, keys))
         # The children of one layer, appended in order, are the next layer.
         start = len(states)
-        first_child += accumulate(map(len, layer_edges), initial=start)
+        first_child += accumulate(map(len, layer_tails), initial=start)
         first_child.pop()  # the end of the last run
-        edges += layer_edges
-        edge_of += map(row_edge_of.__getitem__, keys)
+        edges += map(row_tables.__getitem__, keys)
         states += [
-            parent + tail
-            for parent, children in zip(layer, map(row_tails.__getitem__, keys))
-            for tail in children
+            parent + tail for parent, children in zip(layer, layer_tails) for tail in children
         ]
     return MarkovChain(
         network=bn,
@@ -213,7 +200,6 @@ def build_mc(
         states=tuple(states),
         first_child=tuple(first_child),
         edges=tuple(edges),
-        edge_of=tuple(edge_of),
     )
 
 
@@ -232,21 +218,21 @@ def descend(mc: MarkovChain, binding: Assignment) -> float:
         wanted[mc.position[var_id]] = value
     while wanted and wanted[-1] is None:
         wanted.pop()
-    first_child, edges, edge_of = mc.first_child, mc.edges, mc.edge_of
+    first_child, edges = mc.first_child, mc.edges
     layer = [(mc.initial, 1.0)]
     for value in wanted:
         if value is None:
             layer = [
-                (first + offset, m * p)
+                (first_child[idx] + edge[1], m * edge[0])
                 for idx, m in layer
-                for first, kept in ((first_child[idx], edges[idx]),)
-                for p, offset in kept
+                for edge in edges[idx]
+                if edge is not None
             ]
         else:
             layer = [
                 (first_child[idx] + edge[1], m * edge[0])
                 for idx, m in layer
-                if (edge := edge_of[idx][value]) is not None
+                if (edge := edges[idx][value]) is not None
             ]
     return fsum(m for _, m in layer)
 

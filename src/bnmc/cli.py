@@ -77,7 +77,8 @@ def _resolve_caps(args) -> None:
 
 
 def _parse_bindings(items: list[str], decode: Callable[[str, str], tuple]) -> dict:
-    """`var=value` items as a binding; `decode(var, value)` gives its key and value.
+    """`var=value` items as `{key: (value, var, value text)}`, where
+    `decode(var, value text)` gives the key and value.
 
     A name or a label may hold `=`, so each `=` of an item is tried from the
     left and the first split that `decode` accepts is taken. When none is,
@@ -99,14 +100,24 @@ def _parse_bindings(items: list[str], decode: Callable[[str, str], tuple]) -> di
             raise refusals[0]
         if key in out:
             raise BnmcError(f"variable {name} bound twice")
-        out[key] = value
+        out[key] = value, name, label
     return out
 
 
 def _query_from_args(args, decode: Callable[[str, str], tuple]) -> reach.ReachQuery:
+    """The query of `--ev` and `--hyp`; a variable bound to two values is
+    refused with the name and labels as written."""
+    evidence = _parse_bindings(args.ev, decode)
+    hypothesis = _parse_bindings(args.hyp, decode)
+    for key, (value, name, label) in hypothesis.items():
+        if key in evidence and evidence[key][0] != value:
+            raise BnmcError(
+                f"variable {name} bound to {label} in the hypothesis and "
+                f"{evidence[key][2]} in the evidence"
+            )
     return reach.ReachQuery(
-        evidence=_parse_bindings(args.ev, decode),
-        hypothesis=_parse_bindings(args.hyp, decode),
+        evidence={key: value for key, (value, _, _) in evidence.items()},
+        hypothesis={key: value for key, (value, _, _) in hypothesis.items()},
     )
 
 
@@ -190,7 +201,10 @@ def cmd_infer(args) -> int:
 
 def cmd_bench(args) -> int:
     bn = _load_network(args.network)
-    counts = [int(c) for c in args.counts.split(",") if c != ""]
+    try:
+        counts = [int(c) for c in args.counts.split(",") if c != ""]
+    except ValueError:
+        raise BnmcError(f"counts must be whole numbers, got {args.counts!r}") from None
     if any(c < 0 for c in counts):
         raise BnmcError("counts must be nonnegative")
     # A fresh model per row, so no row is timed against masses or diagram

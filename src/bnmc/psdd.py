@@ -425,10 +425,11 @@ class PartitionReport:
         return all(v.ok for v in self.verdicts)
 
 
-def validate_partition(p: Psdd, limit: int = PARTITION_ENUM_LIMIT) -> PartitionReport:
+def validate_partition(p: Psdd) -> PartitionReport:
     """Check the partition property of every decision node by enumeration.
 
-    Every decision node is checked against `limit` before any enumeration.
+    Every decision node is checked against `PARTITION_ENUM_LIMIT` before any
+    enumeration.
     """
     decisions = []
     for node_id in sorted(p.nodes):
@@ -437,10 +438,10 @@ def validate_partition(p: Psdd, limit: int = PARTITION_ENUM_LIMIT) -> PartitionR
             continue
         inner = p.vtree.nodes[node.vtree_id]
         left_vars = sorted(p.vtree.variables_under(inner.left))
-        if len(left_vars) > limit:
+        if len(left_vars) > PARTITION_ENUM_LIMIT:
             raise EnumerationCapError(
                 f"decision node {node_id} has {len(left_vars)} left variables, "
-                f"above the enumeration limit of {limit}"
+                f"above the enumeration limit of {PARTITION_ENUM_LIMIT}"
             )
         decisions.append((node_id, node, left_vars))
     verdicts = []

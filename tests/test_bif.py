@@ -622,36 +622,6 @@ def test_tokens_are_the_scanner_tokens(text):
         assert _Parser(text).tokens == reference
 
 
-class _TokenByToken(_Parser):
-    """A parser that reads every number list token by token."""
-
-    def _plain_numbers(self, start):
-        return None
-
-
-def _number_list_outcome(parser: _Parser) -> tuple:
-    try:
-        return repr(parser._number_list()), parser.pos
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    tokens=st.lists(
-        st.one_of(
-            st.sampled_from([",", ";", "x", "table", "(", "nan", "-inf", "inf", "1e400", "1_0"]),
-            st.floats().map(repr),
-            st.integers(-5, 5).map(str),
-        ),
-        max_size=12,
-    )
-)
-def test_the_one_slice_number_list_reads_as_the_token_loop(tokens):
-    text = " ".join(tokens)
-    assert _number_list_outcome(_Parser(text)) == _number_list_outcome(_TokenByToken(text))
-
-
 _PIECE = re.compile(r"\s+|[{}()\[\]|,;]|[^\s{}()\[\]|,;]+")
 _ODD_NUMBERS = ("nan", "inf", "1e400", "-0.25", "-0.0")
 

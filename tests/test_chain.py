@@ -224,8 +224,8 @@ def test_build_mc_pinned_digest():
 
 def test_chain_retains_under_256_bytes_per_state():
     # A state costs its tuple and, per non-final state, a first-child index
-    # and two references to its CPT row's shared edges; one (p, target) pair
-    # per edge would cost more.
+    # and a reference to its CPT row's shared edge table; one (p, target)
+    # pair per edge would cost more.
     bn = chain_bn(14)
     gc.collect()
     tracemalloc.start()

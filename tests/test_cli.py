@@ -930,6 +930,14 @@ def _repeated_parent(tmp_path, command):
             "counts must be nonnegative",
         ),
         (
+            lambda bif, psdd, tmp: ["bench", bif, "--counts", "x"],
+            "counts must be whole numbers, got 'x'",
+        ),
+        (
+            lambda bif, psdd, tmp: ["infer", bif, "--ev", "Mood=1", "--hyp", "Mood=0"],
+            "variable Mood bound to 0 in the hypothesis and 1 in the evidence",
+        ),
+        (
             lambda bif, psdd, tmp: _partition_failure(tmp),
             "partition property fails at decision nodes [3]",
         ),
@@ -950,8 +958,9 @@ def _repeated_parent(tmp_path, command):
             "probability block y: parent x listed twice",
         ),
     ],
-    ids=["value-not-in-domain", "negative-count", "partition-fails", "unknown-psdd-variable",
-         "non-boolean-psdd-value", "repeated-parent-stats", "repeated-parent-translate"],
+    ids=["value-not-in-domain", "negative-count", "non-integer-count", "conflicting-binding",
+         "partition-fails", "unknown-psdd-variable", "non-boolean-psdd-value",
+         "repeated-parent-stats", "repeated-parent-translate"],
 )
 def test_input_refusals_exit_2_with_one_line(
     bif_path, psdd_paths, tmp_path, capsys, make_args, message

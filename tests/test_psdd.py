@@ -554,11 +554,10 @@ def test_evaluation_refusals_pinned(student_mood_psdd, evaluate, error, message)
     assert str(info.value) == message
 
 
-def test_validate_partition_enumeration_cap(student_mood_psdd):
-    from bnmc.errors import EnumerationCapError
-
+def test_validate_partition_enumeration_cap(student_mood_psdd, monkeypatch):
+    monkeypatch.setattr("bnmc.psdd.PARTITION_ENUM_LIMIT", 0)
     with pytest.raises(EnumerationCapError, match="limit"):
-        validate_partition(student_mood_psdd, limit=0)
+        validate_partition(student_mood_psdd)
 
 
 def test_prob_operations_safe_under_concurrency(student_mood_psdd):
