@@ -205,16 +205,15 @@ def cmd_bench(args) -> int:
         counts = [int(c) for c in args.counts.split(",") if c != ""]
     except ValueError:
         raise BnmcError(f"counts must be whole numbers, got {args.counts!r}") from None
+    if not counts:
+        raise BnmcError(f"counts must name at least one count, got {args.counts!r}")
     if any(c < 0 for c in counts):
         raise BnmcError("counts must be nonnegative")
     # A fresh model per row, so no row is timed against masses or diagram
     # memos that an earlier row filled. One untimed row on a throwaway model
     # goes first: a process's first pass through the elimination code runs
     # about 1.6x slower than later ones, which the first row would show.
-    if counts:
-        symbolic.bench_evidence(
-            symbolic.compile_network(bn), args.strategy, counts[0], args.seed
-        )
+    symbolic.bench_evidence(symbolic.compile_network(bn), args.strategy, counts[0], args.seed)
     results = [
         symbolic.bench_evidence(
             symbolic.compile_network(bn), args.strategy, count, args.seed

@@ -62,34 +62,21 @@ def export_jani(mc: MarkovChain) -> str:
         labels = ", ".join(f"{i}={label}" for i, label in enumerate(v.domain))
         value_legend.append(f"{v.name}: {labels}, {size}=unset")
 
+    # A final state's one successor is its self-loop, which assigns nothing.
     edges = []
     for idx in range(len(mc.states)):
-        if mc.is_final(idx):
-            edges.append(
-                {
-                    "location": "loc",
-                    "guard": {"exp": _guard(mc, idx)},
-                    "destinations": [
-                        {"location": "loc", "probability": {"exp": 1.0}, "assignments": []}
-                    ],
-                }
-            )
-            continue
         depth = mc.depth(idx)
-        destinations = []
-        for p, target in mc.successors(idx):
-            destinations.append(
-                {
-                    "location": "loc",
-                    "probability": {"exp": p},
-                    "assignments": [
-                        {
-                            "ref": _var_name(mc, depth),
-                            "value": mc.states[target][depth],
-                        }
-                    ],
-                }
-            )
+        final = mc.is_final(idx)
+        destinations = [
+            {
+                "location": "loc",
+                "probability": {"exp": p},
+                "assignments": []
+                if final
+                else [{"ref": _var_name(mc, depth), "value": mc.states[target][depth]}],
+            }
+            for p, target in mc.successors(idx)
+        ]
         edges.append(
             {
                 "location": "loc",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import CycleError, MalformedQueryError
@@ -156,21 +157,7 @@ def validate(bn: BayesianNetwork) -> list[str]:
             )
         for key in sorted(unexpected):
             out.append(f"variable {v.name}: unexpected CPT row for parents {key}")
-        width = len(v.domain)
-        failed = [
-            key
-            for key in in_range
-            if len(cpt.rows[key]) != width or not _sound_row(cpt.rows[key])
-        ]
-        for key in sorted(failed):
-            row = cpt.rows[key]
-            if len(row) != width:
-                out.append(
-                    f"variable {v.name}, row {key}: {len(row)} entries for "
-                    f"domain size {width}"
-                )
-            else:
-                out += _row_problems(v, key, row)
+        out += _row_messages(v, ((key, cpt.rows[key]) for key in in_range))
     return out
 
 
@@ -184,10 +171,7 @@ def validate_values(bn: BayesianNetwork) -> list[str]:
     """
     out = _domain_problems(bn) + _cycle_problems(bn)
     for cpt in bn.cpts:
-        rows = cpt.rows
-        failed = [key for key, row in rows.items() if not _sound_row(row)]
-        for key in sorted(failed):
-            out += _row_problems(bn.variables[cpt.owner], key, rows[key])
+        out += _row_messages(bn.variables[cpt.owner], cpt.rows.items())
     return out
 
 
@@ -211,7 +195,7 @@ def _cycle_problems(bn: BayesianNetwork) -> list[str]:
 
 
 def _sound_row(row: tuple[float, ...]) -> bool:
-    """Whether `_row_problems` finds nothing in a row of the right width.
+    """Whether `_row_messages` finds nothing in a row of the right width.
 
     A sum within the tolerance of 1 is finite, so no entry is NaN or
     infinite, and the least and greatest entries are exact.
@@ -219,13 +203,26 @@ def _sound_row(row: tuple[float, ...]) -> bool:
     return abs(sum(row) - 1.0) <= ROW_SUM_TOLERANCE and 0.0 <= min(row) and max(row) <= 1.0
 
 
-def _row_problems(v: Variable, key: tuple[int, ...], row: tuple[float, ...]) -> list[str]:
+def _row_messages(
+    v: Variable, rows: Iterable[tuple[tuple[int, ...], tuple[float, ...]]]
+) -> list[str]:
+    """Word each bad `(key, row)` of `v`'s CPT in ascending key order: a wrong
+    width, else an entry outside [0, 1] and a sum off 1. Each row is screened
+    by its width and `_sound_row`; only the rows that fail are sorted.
+    """
+    width = len(v.domain)
+    failed = [(key, row) for key, row in rows if len(row) != width or not _sound_row(row)]
     out = []
-    if any(not 0.0 <= p <= 1.0 for p in row):  # also catches NaN
-        out.append(f"variable {v.name}, row {key}: entry outside [0, 1]")
-    total = sum(row)
-    if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
-        out.append(f"variable {v.name}, row {key}: probabilities sum to {total!r}")
+    for key, row in sorted(failed, key=itemgetter(0)):
+        where = f"variable {v.name}, row {key}"
+        if len(row) != width:
+            out.append(f"{where}: {len(row)} entries for domain size {width}")
+            continue
+        if any(not 0.0 <= p <= 1.0 for p in row):  # also catches NaN
+            out.append(f"{where}: entry outside [0, 1]")
+        total = sum(row)
+        if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
+            out.append(f"{where}: probabilities sum to {total!r}")
     return out
 
 

@@ -5,7 +5,12 @@ Every network variable is encoded with ceil(log2 |D|) boolean bits, most
 significant first; bit patterns that decode to an index outside the domain
 get probability zero in every table diagram, so summing a variable over all
 2^w patterns of its bits is exact. The diagram's variable order follows the
-network's topological order with the bits of one variable kept adjacent.
+network's topological order with the bits of one variable kept adjacent,
+and `SymbolicBn.levels` records it. Elimination follows the plan described
+below, but the bits keep the topological order: laid out in the plan's
+order, they grew the store of a 40-variable random network by 31% over 40
+queries and changed it by at most 1% on the `cold-cli` benchmark's
+networks.
 
 The mass of a partial assignment never needs the full joint, nor any CPT
 outside the ancestors of the bound variables: such a CPT sums out to 1
@@ -64,7 +69,6 @@ class SymbolicBn:
     """
 
     network: BayesianNetwork
-    order: tuple[int, ...]  # the diagram's variable order
     plan: tuple[int, ...]  # the elimination order, `chain.query_plan`'s
     manager: MtbddManager  # holds the bit labels, in level order
     levels: Mapping[int, range]  # variable id -> its bits' levels, msb first
@@ -84,7 +88,7 @@ class SymbolicBn:
         the first finds each product memoized and allocates no node.
         """
         joint = self.manager.terminal(1.0)
-        for var_id in self.order:
+        for var_id in topological_order(self.network):
             joint = self.manager.apply("*", joint, self.cpt_refs[var_id])
         return joint
 
@@ -132,7 +136,7 @@ def compile_network(bn: BayesianNetwork) -> SymbolicBn:
     The diagram order keeps each variable's bits adjacent, variables in
     topological order.
     """
-    order = tuple(topological_order(bn))
+    order = topological_order(bn)
     labels: list[str] = []
     levels: dict[int, range] = {}
     for var_id in order:
@@ -144,7 +148,6 @@ def compile_network(bn: BayesianNetwork) -> SymbolicBn:
     cpt_refs = {v: _table_diagram(mgr, levels, bn, v) for v in order}
     return SymbolicBn(
         network=bn,
-        order=order,
         plan=tuple(query_plan(bn)[0]),
         manager=mgr,
         levels=levels,
@@ -264,23 +267,24 @@ def bench_evidence(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
-    n = len(sym.order)
+    order = topological_order(sym.network)
+    n = len(order)
     if not 0 <= count <= n:
         raise ValueError(f"evidence count {count} out of range 0..{n}")
     if count >= n:
         raise ValueError("at least one variable must remain for the hypothesis")
     rng = random.Random(seed)
     if strategy == "first":
-        chosen = list(sym.order[:count])
+        chosen = order[:count]
     elif strategy == "last":
-        chosen = list(sym.order[n - count :])
+        chosen = order[n - count :]
     else:
-        chosen = rng.sample(list(sym.order), count)
+        chosen = rng.sample(order, count)
     evidence = {
         var_id: rng.randrange(len(sym.network.variables[var_id].domain))
         for var_id in chosen
     }
-    rest = [v for v in sym.order if v not in evidence]
+    rest = [v for v in order if v not in evidence]
     hyp_var = rng.choice(rest)
     hypothesis = {hyp_var: rng.randrange(len(sym.network.variables[hyp_var].domain))}
     query = ReachQuery(evidence=evidence, hypothesis=hypothesis)

@@ -934,6 +934,14 @@ def _repeated_parent(tmp_path, command):
             "counts must be whole numbers, got 'x'",
         ),
         (
+            lambda bif, psdd, tmp: ["bench", bif, "--counts", ","],
+            "counts must name at least one count, got ','",
+        ),
+        (
+            lambda bif, psdd, tmp: ["bench", bif, "--counts", ""],
+            "counts must name at least one count, got ''",
+        ),
+        (
             lambda bif, psdd, tmp: ["infer", bif, "--ev", "Mood=1", "--hyp", "Mood=0"],
             "variable Mood bound to 0 in the hypothesis and 1 in the evidence",
         ),
@@ -958,7 +966,8 @@ def _repeated_parent(tmp_path, command):
             "probability block y: parent x listed twice",
         ),
     ],
-    ids=["value-not-in-domain", "negative-count", "non-integer-count", "conflicting-binding",
+    ids=["value-not-in-domain", "negative-count", "non-integer-count", "comma-only-counts",
+         "empty-counts", "conflicting-binding",
          "partition-fails", "unknown-psdd-variable", "non-boolean-psdd-value",
          "repeated-parent-stats", "repeated-parent-translate"],
 )

@@ -251,10 +251,23 @@ def test_repetitive_structure_shares_subgraphs():
 
 
 def test_compile_respects_topological_bit_order(student_mood):
-    sym = compile_network(student_mood)
-    order = topological_order(student_mood)
-    expected = [f"{student_mood.variables[i].name}[0]" for i in order]
-    assert list(sym.manager.variables) == expected
+    """The bits follow the topological order; elimination follows the plan.
+
+    On the AND chain the two differ: the plan interleaves x_i and y_i, while
+    every root precedes every gate in the topological order.
+    """
+    from conftest import and_chain_bn
+
+    for bn in (student_mood, and_chain_bn(4)):
+        sym = compile_network(bn)
+        order = topological_order(bn)
+        expected = [f"{bn.variables[i].name}[0]" for i in order]
+        assert list(sym.manager.variables) == expected
+        assert sym.plan == tuple(query_plan(sym.network)[0])
+    assert [bn.variables[i].name for i in sym.plan] == [
+        "x0", "y0", "x1", "y1", "x2", "y2", "x3", "y3"
+    ]
+    assert list(sym.plan) != order
 
 
 def test_table_diagrams_pinned_digest():
@@ -276,8 +289,9 @@ def test_table_diagrams_pinned_digest():
         for net in (bn, document_to_network(doc)):
             sizes.update(len(v.domain) for v in net.variables)
             sym = compile_network(net)
-            reordered += list(sym.order) != sorted(sym.order)
-            for var_id in sym.order:
+            order = topological_order(net)
+            reordered += order != sorted(order)
+            for var_id in order:
                 digest.update(sym.manager.to_dot(sym.cpt_refs[var_id]).encode())
     assert {1, 2, 3, 4, 5} <= sizes and reordered > 30
     assert digest.hexdigest() == (
@@ -454,10 +468,9 @@ def test_bench_first_and_last_select_prefix_suffix():
     # Reconstruct the selection with the documented RNG contract.
     record = bench_evidence(sym, "first", 2, seed=123)
     rng = random.Random(123)
-    expected_evidence = {
-        var_id: rng.randrange(2) for var_id in sym.order[:2]
-    }
-    rest = [v for v in sym.order if v not in expected_evidence]
+    order = topological_order(bn)
+    expected_evidence = {var_id: rng.randrange(2) for var_id in order[:2]}
+    rest = [v for v in order if v not in expected_evidence]
     hyp_var = rng.choice(rest)
     hypothesis = {hyp_var: rng.randrange(2)}
     expected = infer(sym, ReachQuery(evidence=expected_evidence, hypothesis=hypothesis))
