@@ -33,9 +33,17 @@ EXIT_CAP = 4
 STATS_HEADERS = ("BN", "#Vertices", "#Edges", "InDegreeMax", "Dmax", "AMB", "#Parameters")
 
 
+def _read_text(path: str, encoding: str = "utf-8") -> str:
+    """The text of file `path`; bytes that do not decode are refused by path."""
+    try:
+        return Path(path).read_text(encoding)
+    except UnicodeDecodeError as exc:
+        raise BnmcError(f"{path} is not UTF-8 text: {exc.reason} at offset {exc.start}") from None
+
+
 def _load_network(path: str) -> BayesianNetwork:
     # parse_bif already rejects structurally invalid networks.
-    return bif.parse_bif(Path(path).read_text("utf-8"))
+    return bif.parse_bif(_read_text(path))
 
 
 CAP_DEFAULTS = {"state_cap": chain.DEFAULT_STATE_CAP, "enum_cap": oracle.DEFAULT_ENUM_CAP}
@@ -50,7 +58,9 @@ def _resolve_caps(args) -> None:
     config = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text("utf-8-sig"))
+            config = json.loads(_read_text(args.config, "utf-8-sig"))
+        except json.JSONDecodeError as exc:
+            raise BnmcError(f"config file {args.config} is not JSON: {exc}") from None
         except RecursionError:
             raise BnmcError(f"config file {args.config} is nested too deeply") from None
         if not isinstance(config, dict):
@@ -143,7 +153,7 @@ def cmd_translate(args) -> int:
     # The cap needs only the declared structure: refuse before any table is
     # converted. A structure with no topological order is left to the
     # conversion, which reports it; so `bound` is set once it succeeds.
-    doc = bif.parse_bif_document(Path(args.network).read_text("utf-8"))
+    doc = bif.parse_bif_document(_read_text(args.network))
     sizes = bif.declared_sizes(doc)
     if sizes is not None:
         bound = chain.prefix_bound(sizes)
@@ -239,9 +249,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_psdd_eval(args) -> int:
-    vtree_text = Path(args.vtree).read_text("utf-8-sig")
-    psdd_text = Path(args.psdd).read_text("utf-8-sig")
-    diagram = psdd.parse_psdd(vtree_text, psdd_text)
+    diagram = psdd.parse_psdd(_read_text(args.vtree), _read_text(args.psdd))
     report = psdd.validate_partition(diagram)
     if not report.ok:
         bad = [v.node_id for v in report.verdicts if not v.ok]

@@ -3,8 +3,13 @@
 The Jani emission uses one bounded-integer variable per network vertex.
 Because Jani has no native "unset" value, the don't-care placeholder is
 encoded as the extra domain value |D| (also the initial value); the model's
-comment header documents the convention. Output is deterministic and
-byte-identical for equal inputs.
+comment header documents the convention. Chain state `idx` is the location
+`s{idx}`, the name the dot export gives its node, with `s0` initial. Each
+state's one edge leaves its own location with no guard and assigns the next
+variable on the way to each child, so every location is reached with
+exactly the state's bound values and |D| past its end; a final state keeps
+its probability-1 self-loop, which assigns nothing. Output is deterministic
+and byte-identical for equal inputs.
 """
 
 from __future__ import annotations
@@ -14,38 +19,12 @@ import json
 from .chain import MarkovChain
 
 
-def _var_name(mc: MarkovChain, pos: int) -> str:
-    return mc.network.variables[mc.order[pos]].name
-
-
-def _eq(var: str, value: int) -> dict:
-    return {"op": "=", "left": var, "right": value}
-
-
-def _conj(terms: list[dict]) -> dict | bool:
-    # An empty conjunction is the Jani literal true.
-    expr = terms[0] if terms else True
-    for term in terms[1:]:
-        expr = {"op": "∧", "left": expr, "right": term}
-    return expr
-
-
-def _guard(mc: MarkovChain, state_index: int) -> dict:
-    """Every variable equals its bound value, or |D| past the state's end."""
-    state = mc.states[state_index]
-    terms = []
-    for pos, var_id in enumerate(mc.order):
-        unset = len(mc.network.variables[var_id].domain)
-        terms.append(_eq(_var_name(mc, pos), state[pos] if pos < len(state) else unset))
-    return _conj(terms)
-
-
 def export_jani(mc: MarkovChain) -> str:
     bn = mc.network
     variables = []
     value_legend = []
-    for pos in range(len(mc.order)):
-        v = bn.variables[mc.order[pos]]
+    for var_id in mc.order:
+        v = bn.variables[var_id]
         size = len(v.domain)
         variables.append(
             {
@@ -62,28 +41,21 @@ def export_jani(mc: MarkovChain) -> str:
         labels = ", ".join(f"{i}={label}" for i, label in enumerate(v.domain))
         value_legend.append(f"{v.name}: {labels}, {size}=unset")
 
-    # A final state's one successor is its self-loop, which assigns nothing.
     edges = []
     for idx in range(len(mc.states)):
         depth = mc.depth(idx)
         final = mc.is_final(idx)
         destinations = [
             {
-                "location": "loc",
+                "location": f"s{target}",
                 "probability": {"exp": p},
                 "assignments": []
                 if final
-                else [{"ref": _var_name(mc, depth), "value": mc.states[target][depth]}],
+                else [{"ref": variables[depth]["name"], "value": mc.states[target][depth]}],
             }
             for p, target in mc.successors(idx)
         ]
-        edges.append(
-            {
-                "location": "loc",
-                "guard": {"exp": _guard(mc, idx)},
-                "destinations": destinations,
-            }
-        )
+        edges.append({"location": f"s{idx}", "destinations": destinations})
 
     model = {
         "jani-version": 1,
@@ -99,8 +71,8 @@ def export_jani(mc: MarkovChain) -> str:
         "automata": [
             {
                 "name": "chain",
-                "locations": [{"name": "loc"}],
-                "initial-locations": ["loc"],
+                "locations": [{"name": f"s{idx}"} for idx in range(len(mc.states))],
+                "initial-locations": ["s0"],
                 "edges": edges,
             }
         ],

@@ -73,10 +73,13 @@ class Vtree:
 
 
 def parse_vtree(text: str) -> Vtree:
-    """Load the line-oriented vtree format (`L id var` / `I id left right`)."""
+    """Load the line-oriented vtree format (`L id var` / `I id left right`).
+
+    One leading byte-order mark is ignored, as in `bif.parse_bif_document`.
+    """
     nodes: dict[int, VtreeNode] = {}
     referenced: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -186,7 +189,7 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
             raise PsddParseError(f"psdd line {lineno}: unknown vtree id {vid}")
         return vtree.nodes[vid]
 
-    for lineno, raw in enumerate(psdd_text.splitlines(), start=1):
+    for lineno, raw in enumerate(psdd_text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

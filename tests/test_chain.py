@@ -218,7 +218,7 @@ def test_build_mc_pinned_digest():
         digest.update(export_jani(mc).encode())
         digest.update(export_dot(mc).encode())
     assert digest.hexdigest() == (
-        "100055d931629a14777be1cf77fb0333e353a6d1927f53811a75dcd3cebb50b8"
+        "2a1993f0059a0c45cb905d2c0712dea7691d0851a04992d899ae91d143b6eeea"
     )
 
 

@@ -447,13 +447,37 @@ def test_translate_jani_to_stdout(bif_path, capsys):
 
 
 def test_translate_jani_of_an_empty_network(tmp_path, capsys):
-    # No variable to compare: the one state's guard is the empty conjunction.
+    # No variable to assign: the one state is final and loops on itself.
     path = tmp_path / "empty.bif"
     path.write_text("network empty { }\n", encoding="utf-8")
     code, out, _ = run(["translate", str(path), "--format", "jani"], capsys)
     assert code == 0
     [edge] = json.loads(out)["automata"][0]["edges"]
-    assert edge["guard"] == {"exp": True}
+    assert edge == {
+        "location": "s0",
+        "destinations": [{"location": "s0", "probability": {"exp": 1.0}, "assignments": []}],
+    }
+
+
+def test_translate_jani_of_a_deep_chain(tmp_path, capsys):
+    # 1,200 one-value variables, a tree of 1,201 states: no part of the
+    # model nests or repeats once per variable, so the file grows linearly
+    # and writing it needs no recursion depth.
+    n = 1200
+    variables = [Variable(id=i, name=f"v{i}", domain=("only",)) for i in range(n)]
+    cpts = [
+        Cpt(owner=i, parents=(i - 1,) if i else (), rows={(0,) if i else (): (1.0,)})
+        for i in range(n)
+    ]
+    path, out_path = tmp_path / "deep.bif", tmp_path / "deep.jani"
+    path.write_text(write_bif(network_from_cpts("deep", variables, cpts)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(
+        ["translate", str(path), "--format", "jani", "-o", str(out_path)], capsys
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, "states: 1201 (bound 1201)\n", "")
+    assert out_path.stat().st_size < 1_000_000
 
 
 def test_translate_refuses_above_cap(tmp_path, capsys):
@@ -905,6 +929,12 @@ def _partition_failure(tmp_path):
     return ["psdd-eval", str(vtree), str(bad)]
 
 
+def _file_of(tmp_path, name, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 def _repeated_parent(tmp_path, command):
     path = tmp_path / "repeated.bif"
     path.write_text(
@@ -965,16 +995,44 @@ def _repeated_parent(tmp_path, command):
             lambda bif, psdd, tmp: _repeated_parent(tmp, ["translate", "--format", "dot"]),
             "probability block y: parent x listed twice",
         ),
+        (
+            lambda bif, psdd, tmp: [
+                "--config", _file_of(tmp, "c.json", b'{"state_cap": 1'), "stats", bif
+            ],
+            "config file {tmp}/c.json is not JSON: "
+            "Expecting ',' delimiter: line 1 column 16 (char 15)",
+        ),
+        (
+            lambda bif, psdd, tmp: [
+                "--config", _file_of(tmp, "c.json", b'{"state_cap": \xff}'), "stats", bif
+            ],
+            "{tmp}/c.json is not UTF-8 text: invalid start byte at offset 14",
+        ),
+        (
+            lambda bif, psdd, tmp: [
+                "psdd-eval", _file_of(tmp, "v.vtree", b"L 0 x\xff\n"), psdd[1]
+            ],
+            "{tmp}/v.vtree is not UTF-8 text: invalid start byte at offset 5",
+        ),
+        (
+            lambda bif, psdd, tmp: [
+                "psdd-eval", psdd[0], _file_of(tmp, "p.psdd", b"c comment\xff\n")
+            ],
+            "{tmp}/p.psdd is not UTF-8 text: invalid start byte at offset 9",
+        ),
     ],
     ids=["value-not-in-domain", "negative-count", "non-integer-count", "comma-only-counts",
          "empty-counts", "conflicting-binding",
          "partition-fails", "unknown-psdd-variable", "non-boolean-psdd-value",
-         "repeated-parent-stats", "repeated-parent-translate"],
+         "repeated-parent-stats", "repeated-parent-translate", "config-not-json",
+         "config-not-utf-8", "vtree-not-utf-8", "psdd-not-utf-8"],
 )
 def test_input_refusals_exit_2_with_one_line(
     bif_path, psdd_paths, tmp_path, capsys, make_args, message
 ):
+    # A refusal that names a file shows its path, written `{tmp}/name` above.
     code, out, err = run(make_args(bif_path, psdd_paths, tmp_path), capsys)
+    message = message.replace("{tmp}", str(tmp_path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -1123,7 +1181,11 @@ CONFIG_TEXT = json.dumps({"state_cap": 1000, "enum_cap": 1000})
         ("bif", "line 1, col 1: expected 'network', got '\\ufeff//'"),
         ("vtree", "vtree line 1: cannot parse '\\ufeffc vtree for the student-mood fixture"),
         ("psdd", "psdd line 1: cannot parse '\\ufeffc PSDD for the student-mood fixture"),
-        ("config", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (
+            "config",
+            "config file {config} is not JSON: "
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
     ],
 )
 def test_a_leading_byte_order_mark_is_ignored_in_every_input(tmp_path, capsys, kind, refusal):
@@ -1154,7 +1216,7 @@ def test_a_leading_byte_order_mark_is_ignored_in_every_input(tmp_path, capsys, k
     for (code, out, err), read, before in zip(outcomes("\ufeff" * 2), reads, plain):
         if read:
             assert (code, out, err.count("\n")) == (2, "", 1)
-            assert err.startswith("error: " + refusal), err
+            assert err.startswith("error: " + refusal.replace("{config}", config)), err
         else:
             assert (code, out, err) == before
 

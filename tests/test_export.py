@@ -94,20 +94,71 @@ def test_dot_edges_carry_probabilities(student_mood_dpg):
     assert 's0 -> s1 [label="0.6"];' in text or 's0 -> s1 [label="0.4"];' in text
 
 
-def test_exports_pinned_digest():
+def _seeded_trees():
     # The seeded chains of test_chain.py's pinned digest, both keep_zero_edges
-    # settings; pinned so that a change of the chain's layout leaves both
-    # exports byte-identical.
+    # settings.
     rng = random.Random(101)
-    jani, dot = hashlib.sha256(), hashlib.sha256()
     for i in range(20):
         bn = random_network(rng, max_vars=6, max_domain=3, zero_entry_prob=0.3)
-        mc = build_mc(bn, keep_zero_edges=bool(i % 2))
+        yield build_mc(bn, keep_zero_edges=bool(i % 2))
+
+
+def test_exports_pinned_digest():
+    # Pinned so that a change of the chain's layout leaves both exports
+    # byte-identical.
+    jani, dot = hashlib.sha256(), hashlib.sha256()
+    for mc in _seeded_trees():
         jani.update(export_jani(mc).encode("utf-8"))
         dot.update(export_dot(mc).encode("utf-8"))
     assert jani.hexdigest() == (
-        "4161d00d64278ed32f3f33a8a6f603b7cc2e0cfa4f4903a691ad358d61c466f3"
+        "0b9c9f17997fe565f665336c24f2ae1055fa8a3d9eeca6f22c1519793551619c"
     )
     assert dot.hexdigest() == (
         "2dc33e1bd4e3664fdfa8a17b5142f5e376794df3ee9d135b10006bd43701119e"
     )
+
+
+def _unfold_jani(model: dict) -> dict:
+    """The DTMC a model checker builds from `model`: `{location: (valuation,
+    destinations)}` for every location reached from the initial one, each
+    destination as `(p, location)`. Fails on a guard or on a location
+    reached with two valuations."""
+    [automaton] = model["automata"]
+    names = [v["name"] for v in model["variables"]]
+    assert not any("guard" in edge for edge in automaton["edges"])
+    edges = {edge["location"]: edge["destinations"] for edge in automaton["edges"]}
+    [start] = automaton["initial-locations"]
+    reached = {start: tuple(v["initial-value"] for v in model["variables"])}
+    unfolded, stack = {}, [start]
+    while stack:
+        location = stack.pop()
+        out = []
+        for d in edges[location]:
+            values = list(reached[location])
+            for a in d["assignments"]:
+                values[names.index(a["ref"])] = a["value"]
+            target = d["location"]
+            if target not in reached:
+                reached[target] = tuple(values)
+                stack.append(target)
+            assert reached[target] == tuple(values), target
+            out.append((d["probability"]["exp"], target))
+        unfolded[location] = (reached[location], out)
+    return unfolded
+
+
+def test_jani_unfolds_to_the_tree(student_mood):
+    packaged = [build_mc(student_mood, keep_zero_edges=keep) for keep in (False, True)]
+    for mc in [*_seeded_trees(), *packaged]:
+        model = json.loads(export_jani(mc))
+        names = [f"s{idx}" for idx in range(len(mc.states))]
+        [automaton] = model["automata"]
+        assert [loc["name"] for loc in automaton["locations"]] == names
+        assert [edge["location"] for edge in automaton["edges"]] == names
+        unset = [len(mc.network.variables[var_id].domain) for var_id in mc.order]
+        unfolded = _unfold_jani(model)
+        assert unfolded.keys() == set(names)
+        for idx, state in enumerate(mc.states):
+            valuation, destinations = unfolded[f"s{idx}"]
+            assert valuation == tuple(state) + tuple(unset[len(state):])
+            assert destinations == [(p, f"s{target}") for p, target in mc.successors(idx)]

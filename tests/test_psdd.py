@@ -153,15 +153,24 @@ def test_parse_accepts_zero_theta_with_bottom_sub():
         (PAIR_VTREE, "c no nodes\n", "empty psdd"),
         (PAIR_VTREE, "L 0 0 x\n", "root node 0 respects vtree node 0, not the vtree root 1"),
         (SINGLE_VTREE, "B 0 0\n", "root node 0 is a bottom terminal, of mass 0"),
+        ("L 0 x\nL 0 y\n", "L 0 0 x\n", "vtree line 2: duplicate id 0"),
+        ("L 0 x\nI 1 0 7\n", "L 0 0 x\n", "vtree node 1 references missing id 7"),
     ],
     ids=["empty-vtree", "shared-vtree-child", "unknown-vtree-id", "bottom-above-leaf",
          "terminal-above-leaf", "duplicate-node", "empty-psdd", "root-below-vtree-root",
-         "bottom-root"],
+         "bottom-root", "duplicate-vtree-id", "missing-vtree-child"],
 )
 def test_parse_refusals_pinned(vtree_text, psdd_text, message):
     with pytest.raises(PsddParseError) as info:
         parse_psdd(vtree_text, psdd_text)
     assert str(info.value) == message
+
+
+def test_parse_ignores_one_leading_byte_order_mark():
+    vtree_text, psdd_text = fixtures.student_mood_texts()
+    plain = parse_psdd(vtree_text, psdd_text)
+    assert parse_psdd("\ufeff" + vtree_text, "\ufeff" + psdd_text) == plain
+    assert parse_vtree("\ufeff" + vtree_text) == plain.vtree
 
 
 def test_vtree_rejects_duplicate_labels():
