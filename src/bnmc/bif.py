@@ -417,8 +417,8 @@ def validated_network(doc: BifDocument) -> BayesianNetwork:
     """Convert a parsed document into a validated network.
 
     `document_to_network` refuses every structural fault of a document, so
-    only the value half of `validate` is run; on such a network it gives
-    the same messages as the whole.
+    only `validate_values` is run; on such a network `validate` runs the
+    same checks after its structural ones, and gives the same messages.
     """
     bn = document_to_network(doc)
     problems = validate_values(bn)

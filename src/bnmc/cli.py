@@ -33,10 +33,11 @@ EXIT_CAP = 4
 STATS_HEADERS = ("BN", "#Vertices", "#Edges", "InDegreeMax", "Dmax", "AMB", "#Parameters")
 
 
-def _read_text(path: str, encoding: str = "utf-8") -> str:
-    """The text of file `path`; bytes that do not decode are refused by path."""
+def _read_text(path: str) -> str:
+    """The UTF-8 text of file `path`, any byte-order mark kept for its reader
+    to drop; bytes that do not decode are refused by path and file offset."""
     try:
-        return Path(path).read_text(encoding)
+        return Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
         raise BnmcError(f"{path} is not UTF-8 text: {exc.reason} at offset {exc.start}") from None
 
@@ -58,7 +59,7 @@ def _resolve_caps(args) -> None:
     config = {}
     if args.config:
         try:
-            config = json.loads(_read_text(args.config, "utf-8-sig"))
+            config = json.loads(_read_text(args.config).removeprefix("\ufeff"))
         except json.JSONDecodeError as exc:
             raise BnmcError(f"config file {args.config} is not JSON: {exc}") from None
         except RecursionError:

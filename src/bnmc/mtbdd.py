@@ -28,11 +28,10 @@ Nodes are built by `terminal`, `node`, and three operations:
 The public methods check their arguments. Their underscored kernels
 (`_apply`, `_cofactor`, `_multiply_sum`, `_mk`) trust them, and the
 compiler in `symbolic` calls them directly with references and levels it
-built. A leaf made by an operation skips `terminal`'s checks: every stored
-value is finite, nonnegative and never -0.0, so a sum, product, min or
-max of two of them cannot be NaN, negative or -0.0. It can only overflow
-to inf, and that is refused as `terminal` refuses it. `x * 1`, `x * 0`
-and `x + 0` return an operand without a walk, being exact.
+built. Every leaf, from input or from an operation, is made by
+`terminal` and passes its checks, so a result that overflows to inf is
+refused as an input inf is. `x * 1`, `x * 0` and `x + 0` return an
+operand without a walk, being exact.
 
 Node creation and the operations that populate caches must be serialized
 per manager; finished references may be read concurrently.
@@ -126,17 +125,6 @@ class MtbddManager:
             self._nodes.append((self._leaf_level, value))
         return ref
 
-    def _leaf(self, value: float) -> NodeRef:
-        """Terminal for an op's result on stored terminals; of `terminal`'s
-        checks only overflow can fail there (see the module docstring)."""
-        ref = self._terminals.get(value)
-        if ref is None:
-            if value == math.inf:
-                raise ValueError(f"terminal value must be finite and nonnegative: {value!r}")
-            ref = self._terminals[value] = len(self._nodes)
-            self._nodes.append((self._leaf_level, value))
-        return ref
-
     def node(self, var: str, lo: NodeRef, hi: NodeRef) -> NodeRef:
         level = self.level(var)
         if level >= self._level_of(lo) or level >= self._level_of(hi):
@@ -167,7 +155,7 @@ class MtbddManager:
         ea, eb = self._nodes[a], self._nodes[b]
         if len(ea) == 2:  # all supported ops commute: put a terminal second
             if len(eb) == 2:
-                return self._leaf(fn(ea[1], eb[1]))
+                return self.terminal(fn(ea[1], eb[1]))
             a, b, ea, eb = b, a, eb, ea
         if len(eb) == 2:  # exact identities: x*1 = x, x*0 = 0, x+0 = x
             value = eb[1]
@@ -245,7 +233,7 @@ class MtbddManager:
 
     def _ref(self, result: NodeRef | float) -> NodeRef:
         """A walk's result as a reference: a float becomes its terminal."""
-        return result if type(result) is int else self._leaf(result)
+        return result if type(result) is int else self.terminal(result)
 
     def _multiply_sum_walk(
         self, a: NodeRef, b: NodeRef, levels: Sequence[int], i: int, memo: dict

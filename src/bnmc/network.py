@@ -91,26 +91,24 @@ def network_from_cpts(
 def validate(bn: BayesianNetwork) -> list[str]:
     """Check every invariant of a network; returns one message per violation.
 
-    The checks fall in two halves. The structural half covers the variable
-    ids and names, the CPT count and order, the parent lists, and each row's
-    key and width: the facts the other checks index by. The value half,
-    `validate_values`, covers the domains, acyclicity, and each row's
-    entries and sum. A network built in code needs both. A caller that
-    refuses every structural fault itself, as `bif.document_to_network`
-    does, needs only the value half: on a network whose structure is sound,
-    `validate(bn) == validate_values(bn)`.
+    The structural checks come first: the variable ids and names, the CPT
+    count and order, the parent lists, and each CPT's row keys, which are
+    the facts the value checks index by. Any structural fault ends the list.
+    On a sound structure the value checks follow, and they are
+    `validate_values`, so `validate(bn) == validate_values(bn)` there. A
+    caller that refuses every structural fault itself, as
+    `bif.document_to_network` does, needs only `validate_values`.
 
-    Messages come in one order: ids, domains, names, CPT count and order,
-    parents, the cycle, then each CPT's rows. A structural fault that the
-    later checks would index past ends the list. The missing rows of one CPT
-    are one message, naming the first in ascending order and how many are
-    missing; the other row messages follow in ascending key order.
+    Structural messages come in one order: ids, names, CPT count and order,
+    parents, then each CPT's rows. The missing rows of one CPT are one
+    message, naming the first in ascending order and how many are missing;
+    its unexpected rows follow in ascending key order.
     """
     ids = [v.id for v in bn.variables]
     if ids != list(range(len(ids))):
         return [f"variable ids must be dense 0..{len(ids) - 1}, got {ids}"]
 
-    out = _domain_problems(bn)
+    out = []
     names = [v.name for v in bn.variables]
     if len(set(names)) != len(names):
         out.append("duplicate variable names")
@@ -129,69 +127,58 @@ def validate(bn: BayesianNetwork) -> list[str]:
         if any(p not in known for p in ps) or list(ps) != sorted(set(ps))
     ]
     if malformed:
-        return out + malformed  # the order and the rows index by parent id
+        return out + malformed  # the row keys index by parent id
 
-    out += _cycle_problems(bn)
     for cpt in bn.cpts:
         v = bn.variables[cpt.owner]
         ranges = [range(len(bn.variables[p].domain)) for p in cpt.parents]
         # The keys in range are distinct, so the rows are complete when they
         # number the parent combinations; only a short table is scanned, in
         # ascending order, for its first missing key.
-        in_range, unexpected = [], []
+        in_range, unexpected = 0, []
         for key in cpt.rows:
             if (
                 isinstance(key, tuple)
                 and len(key) == len(ranges)
                 and all(map(range.__contains__, ranges, key))
             ):
-                in_range.append(key)
+                in_range += 1
             else:
                 unexpected.append(key)
         total = prod(map(len, ranges))
-        if len(in_range) != total:
+        if in_range != total:
             key = next(key for key in product(*ranges) if key not in cpt.rows)
             out.append(
                 f"variable {v.name}: missing CPT row for parents {key} "
-                f"({total - len(in_range)} of {total} missing)"
+                f"({total - in_range} of {total} missing)"
             )
         for key in sorted(unexpected):
             out.append(f"variable {v.name}: unexpected CPT row for parents {key}")
-        out += _row_messages(v, ((key, cpt.rows[key]) for key in in_range))
-    return out
+    return out or validate_values(bn)
 
 
 def validate_values(bn: BayesianNetwork) -> list[str]:
-    """The value half of `validate`: domains, acyclicity, row entries and
-    sums, with `validate`'s messages in its order.
+    """The value checks of `validate`: domains, acyclicity, then each CPT's
+    row widths, entries and sums.
 
     The structure must be sound (see `validate`); it is not checked. Each
     row is screened by its sum, least and greatest entry, and only the keys
     of rows that fail are sorted, to word them.
     """
-    out = _domain_problems(bn) + _cycle_problems(bn)
-    for cpt in bn.cpts:
-        out += _row_messages(bn.variables[cpt.owner], cpt.rows.items())
-    return out
-
-
-def _domain_problems(bn: BayesianNetwork) -> list[str]:
     out = []
     for v in bn.variables:
         if len(v.domain) < 1:
             out.append(f"variable {v.name}: empty domain")
         if len(set(v.domain)) != len(v.domain):
             out.append(f"variable {v.name}: duplicate domain labels")
-    return out
-
-
-def _cycle_problems(bn: BayesianNetwork) -> list[str]:
     try:
         topological_order(bn)
     except CycleError as exc:
         parent, child = bn.variables[exc.parent].name, bn.variables[exc.child].name
-        return [f"cycle detected involving edge {parent} -> {child}"]
-    return []
+        out.append(f"cycle detected involving edge {parent} -> {child}")
+    for cpt in bn.cpts:
+        out += _row_messages(bn.variables[cpt.owner], cpt.rows.items())
+    return out
 
 
 def _sound_row(row: tuple[float, ...]) -> bool:

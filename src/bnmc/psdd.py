@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Mapping
 
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
     PsddError,
     PsddParseError,
 )
+from .network import topological_order
 from .symbolic import SymbolicBn, bits_of_assignment
 
 THETA_SUM_TOLERANCE = 1e-9
@@ -230,6 +232,8 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
                 node = PsddNode(id=nid, vtree_id=vid, kind=TOP, var=leaf.var, theta=theta)
             elif kind == "D" and len(parts) >= 4:
                 nid, vid, k = int(parts[1]), int(parts[2]), int(parts[3])
+                if k < 0:
+                    raise ValueError(f"negative element count {k}")
                 inner = check_vtree_id(lineno, vid)
                 if inner.is_leaf:
                     raise PsddParseError(
@@ -282,10 +286,8 @@ def parse_psdd(vtree_text: str, psdd_text: str) -> Psdd:
                     id=nid, vtree_id=vid, kind=DECISION, elements=tuple(elements)
                 )
             else:
-                raise PsddParseError(f"psdd line {lineno}: cannot parse {raw!r}")
-        except PsddParseError:
-            raise
-        except ValueError:
+                raise ValueError(f"unknown line kind {kind!r}")
+        except ValueError:  # a bad number, count or line kind
             raise PsddParseError(f"psdd line {lineno}: cannot parse {raw!r}")
         if node.id in nodes:
             raise PsddParseError(f"psdd line {lineno}: duplicate node id {node.id}")
@@ -480,10 +482,12 @@ def validate_partition(p: Psdd) -> PartitionReport:
 def compare_with_bn(
     p: Psdd, sym: SymbolicBn, mapping: Mapping[int, str]
 ) -> float:
-    """Max |difference| between the PSDD and a compiled joint over all assignments.
+    """Max |difference| between the PSDD and a compiled network over all assignments.
 
     `mapping` sends each network variable id to the PSDD variable carrying
-    its truth value; every network variable must be binary.
+    its truth value; every network variable must be binary. The network's
+    side is the product of the assignment's CPT leaves in topological
+    order: the joint diagram's value, without building that diagram.
     """
     bn = sym.network
     unmapped = [v.name for v in bn.variables if v.id not in mapping]
@@ -501,12 +505,13 @@ def compare_with_bn(
     n = len(bn.variables)
     if n > PARTITION_ENUM_LIMIT:
         raise EnumerationCapError(f"{n} variables exceed the comparison limit")
-    joint = sym.joint
+    order = topological_order(bn)
     worst = 0.0
     for values in product((0, 1), repeat=n):
         assignment = dict(enumerate(values))
         psdd_assignment = {mapping[i]: v for i, v in assignment.items()}
         lhs = prob_assignment(p, psdd_assignment)
-        rhs = sym.manager.evaluate(joint, bits_of_assignment(sym, assignment))
+        bits = bits_of_assignment(sym, assignment)
+        rhs = prod(sym.manager.evaluate(sym.cpt_refs[v], bits) for v in order)
         worst = max(worst, abs(lhs - rhs))
     return worst

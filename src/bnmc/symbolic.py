@@ -85,7 +85,9 @@ class SymbolicBn:
         """Product of every CPT diagram in topological order.
 
         Each read rebuilds it through the apply memo, so every read after
-        the first finds each product memoized and allocates no node.
+        the first finds each product memoized and allocates no node. No
+        query and no command reads it; only `benchmarks/tracing.py` and
+        tests do.
         """
         joint = self.manager.terminal(1.0)
         for var_id in topological_order(self.network):

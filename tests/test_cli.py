@@ -1010,6 +1010,15 @@ def _repeated_parent(tmp_path, command):
         ),
         (
             lambda bif, psdd, tmp: [
+                "--config",
+                _file_of(tmp, "c.json", b'\xef\xbb\xbf{"state_cap": \xff}'),
+                "stats",
+                bif,
+            ],
+            "{tmp}/c.json is not UTF-8 text: invalid start byte at offset 17",
+        ),
+        (
+            lambda bif, psdd, tmp: [
                 "psdd-eval", _file_of(tmp, "v.vtree", b"L 0 x\xff\n"), psdd[1]
             ],
             "{tmp}/v.vtree is not UTF-8 text: invalid start byte at offset 5",
@@ -1025,7 +1034,8 @@ def _repeated_parent(tmp_path, command):
          "empty-counts", "conflicting-binding",
          "partition-fails", "unknown-psdd-variable", "non-boolean-psdd-value",
          "repeated-parent-stats", "repeated-parent-translate", "config-not-json",
-         "config-not-utf-8", "vtree-not-utf-8", "psdd-not-utf-8"],
+         "config-not-utf-8", "config-with-bom-not-utf-8", "vtree-not-utf-8",
+         "psdd-not-utf-8"],
 )
 def test_input_refusals_exit_2_with_one_line(
     bif_path, psdd_paths, tmp_path, capsys, make_args, message

@@ -162,9 +162,17 @@ def _with_v2(bn: BayesianNetwork, **changes) -> BayesianNetwork:
             ),
             ["variable v1, row (1,): 3 entries for domain size 2"],
         ),
+        (
+            # A structural fault ends the list before any value check.
+            lambda bn: replace(
+                _with_v2(bn, name="v0"),
+                cpts=(*bn.cpts[:2], Cpt(owner=2, parents=(), rows={(): (0.5, 0.6)})),
+            ),
+            ["duplicate variable names"],
+        ),
     ],
     ids=["sparse-ids", "empty-domain", "duplicate-labels", "duplicate-names",
-         "cpt-count", "cpt-order", "row-width"],
+         "cpt-count", "cpt-order", "row-width", "duplicate-names-and-row-sum"],
 )
 def test_validate_reports_networks_built_in_code(edit, messages):
     assert validate(_three_binaries()) == []

@@ -155,10 +155,12 @@ def test_parse_accepts_zero_theta_with_bottom_sub():
         (SINGLE_VTREE, "B 0 0\n", "root node 0 is a bottom terminal, of mass 0"),
         ("L 0 x\nL 0 y\n", "L 0 0 x\n", "vtree line 2: duplicate id 0"),
         ("L 0 x\nI 1 0 7\n", "L 0 0 x\n", "vtree node 1 references missing id 7"),
+        (PAIR_VTREE, "L 0 0 x\nL 1 2 y\nD 2 1 -1\n", "psdd line 3: cannot parse 'D 2 1 -1'"),
     ],
     ids=["empty-vtree", "shared-vtree-child", "unknown-vtree-id", "bottom-above-leaf",
          "terminal-above-leaf", "duplicate-node", "empty-psdd", "root-below-vtree-root",
-         "bottom-root", "duplicate-vtree-id", "missing-vtree-child"],
+         "bottom-root", "duplicate-vtree-id", "missing-vtree-child",
+         "negative-element-count"],
 )
 def test_parse_refusals_pinned(vtree_text, psdd_text, message):
     with pytest.raises(PsddParseError) as info:
@@ -354,6 +356,15 @@ def test_compare_with_bn_fixture(student_mood, student_mood_psdd):
     sym = compile_network(student_mood)
     mapping = {v.id: v.name for v in student_mood.variables}
     assert compare_with_bn(student_mood_psdd, sym, mapping) <= 1e-9
+
+
+def test_compare_with_bn_builds_no_node(student_mood, student_mood_psdd):
+    # Each assignment's mass is its CPT leaves' product, not a joint diagram.
+    sym = compile_network(student_mood)
+    before = sym.manager.live_nodes
+    mapping = {v.id: v.name for v in student_mood.variables}
+    compare_with_bn(student_mood_psdd, sym, mapping)
+    assert sym.manager.live_nodes == before
 
 
 def test_compare_with_bn_single_variable_roundtrip():
