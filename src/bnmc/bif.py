@@ -24,15 +24,13 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice, product
 from math import prod
-from typing import Iterator
 
-from .errors import BifParseError, CycleError
+from .errors import BifParseError
 from .network import (
     BayesianNetwork,
     Cpt,
     Variable,
     network_from_cpts,
-    topological_order,
     validate_values,
 )
 
@@ -248,16 +246,15 @@ def parse_bif_document(text: str | bytes) -> BifDocument:
     return _Parser(text.removeprefix("\ufeff")).document()
 
 
-def _resolve(doc: BifDocument) -> tuple[list[Variable], list[dict[str, int]], Iterator]:
-    """The structure of a document: its variables by id, each one's label ->
-    value index, and its probability blocks, each with its owner and its
-    parents in declared order.
+def document_to_network(doc: BifDocument) -> BayesianNetwork:
+    """Convert a parsed document into a network, refusing every structural
+    fault of the document.
 
-    The blocks are resolved one at a time, as they are taken, so a caller
-    that converts each block's rows before taking the next meets every
-    refusal in document order: a variable declared twice at once, an
-    undeclared or repeated name and a second block for one owner at their
-    block, and a variable with no block when the blocks run out.
+    Each probability block's owner and parents are resolved and its rows
+    converted before the next block is taken, so refusals come in document
+    order: a variable declared twice at once, an undeclared or repeated name
+    and a second block for one owner at their block, and a variable with no
+    block after the last block.
     """
     by_name: dict[str, Variable] = {}
     # A repeated label keeps its first index: validate refuses such a domain,
@@ -271,41 +268,24 @@ def _resolve(doc: BifDocument) -> tuple[list[Variable], list[dict[str, int]], It
         for k, label in enumerate(block.values):
             label_index[i].setdefault(label, k)
     variables = list(by_name.values())
-
-    def blocks() -> Iterator[tuple[ProbabilityBlock, Variable, list[Variable]]]:
-        owners: set[int] = set()
-        for block in doc.probabilities:
-            if block.owner not in by_name:
-                raise BifParseError(
-                    f"probability block references undeclared variable {block.owner!r}"
-                )
-            owner = by_name[block.owner]
-            declared_parents = []
-            for k, p in enumerate(block.parents):
-                if p not in by_name:
-                    raise BifParseError(
-                        f"probability block {block.owner}: undeclared parent {p!r}"
-                    )
-                if p in block.parents[:k]:
-                    raise BifParseError(
-                        f"probability block {block.owner}: parent {p} listed twice"
-                    )
-                declared_parents.append(by_name[p])
-            if owner.id in owners:
-                raise BifParseError(f"duplicate probability block for {block.owner}")
-            owners.add(owner.id)
-            yield block, owner, declared_parents
-        for var in variables:
-            if var.id not in owners:
-                raise BifParseError(f"no probability block for variable {var.name}")
-
-    return variables, label_index, blocks()
-
-
-def document_to_network(doc: BifDocument) -> BayesianNetwork:
-    variables, label_index, blocks = _resolve(doc)
     cpts = []
-    for block, owner, declared_parents in blocks:
+    owners: set[int] = set()
+    for block in doc.probabilities:
+        if block.owner not in by_name:
+            raise BifParseError(
+                f"probability block references undeclared variable {block.owner!r}"
+            )
+        owner = by_name[block.owner]
+        declared_parents = []
+        for k, p in enumerate(block.parents):
+            if p not in by_name:
+                raise BifParseError(f"probability block {block.owner}: undeclared parent {p!r}")
+            if p in block.parents[:k]:
+                raise BifParseError(f"probability block {block.owner}: parent {p} listed twice")
+            declared_parents.append(by_name[p])
+        if owner.id in owners:
+            raise BifParseError(f"duplicate probability block for {block.owner}")
+        owners.add(owner.id)
         canonical = sorted(declared_parents, key=lambda v: v.id)
         # Parents declared in ascending id order, as `write_bif` writes them,
         # keep their declared keys; others are re-keyed.
@@ -388,29 +368,10 @@ def document_to_network(doc: BifDocument) -> BayesianNetwork:
         cpts.append(
             Cpt(owner=owner.id, parents=tuple(v.id for v in canonical), rows=rows)
         )
+    for var in variables:
+        if var.id not in owners:
+            raise BifParseError(f"no probability block for variable {var.name}")
     return network_from_cpts(doc.name, variables, cpts)
-
-
-def declared_sizes(doc: BifDocument) -> list[int] | None:
-    """Domain sizes in the network's topological order, read from the variable
-    blocks and parent lists alone, with no table converted.
-
-    The structure is resolved as `document_to_network` resolves it and
-    ordered by `network.topological_order`, so the order is the converted
-    network's. None when the conversion refuses the structure (an undeclared
-    or repeated name, a variable without exactly one probability block) or
-    it has a cycle.
-    """
-    try:
-        variables, _, blocks = _resolve(doc)
-        cpts = [
-            Cpt(owner=owner.id, parents=tuple(sorted(p.id for p in parents)), rows={})
-            for _, owner, parents in blocks
-        ]
-        order = topological_order(network_from_cpts(doc.name, variables, cpts))
-    except (BifParseError, CycleError):
-        return None
-    return [len(variables[v].domain) for v in order]
 
 
 def validated_network(doc: BifDocument) -> BayesianNetwork:

@@ -151,18 +151,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    # The cap needs only the declared structure: refuse before any table is
-    # converted. A structure with no topological order is left to the
-    # conversion, which reports it; so `bound` is set once it succeeds.
-    doc = bif.parse_bif_document(_read_text(args.network))
-    sizes = bif.declared_sizes(doc)
-    if sizes is not None:
-        bound = chain.prefix_bound(sizes)
-        chain.check_state_cap(bound, args.state_cap)
-    bn = bif.validated_network(doc)
+    bn = _load_network(args.network)
     mc = chain.build_mc(bn, keep_zero_edges=args.keep_zero_edges, state_cap=args.state_cap)
     text = export.export_jani(mc) if args.format == "jani" else export.export_dot(mc)
-    report = f"states: {len(mc.states)} (bound {bound})"
+    report = f"states: {len(mc.states)} (bound {chain.size_bound(bn)})"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(report)

@@ -102,7 +102,8 @@ def validate(bn: BayesianNetwork) -> list[str]:
     Structural messages come in one order: ids, names, CPT count and order,
     parents, then each CPT's rows. The missing rows of one CPT are one
     message, naming the first in ascending order and how many are missing;
-    its unexpected rows follow in ascending key order.
+    its unexpected rows follow in the order `cpt.rows` holds them, so keys
+    that do not compare are reported too.
     """
     ids = [v.id for v in bn.variables]
     if ids != list(range(len(ids))):
@@ -152,7 +153,7 @@ def validate(bn: BayesianNetwork) -> list[str]:
                 f"variable {v.name}: missing CPT row for parents {key} "
                 f"({total - in_range} of {total} missing)"
             )
-        for key in sorted(unexpected):
+        for key in unexpected:
             out.append(f"variable {v.name}: unexpected CPT row for parents {key}")
     return out or validate_values(bn)
 

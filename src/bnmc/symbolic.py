@@ -271,10 +271,11 @@ def bench_evidence(
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     order = topological_order(sym.network)
     n = len(order)
-    if not 0 <= count <= n:
-        raise ValueError(f"evidence count {count} out of range 0..{n}")
-    if count >= n:
-        raise ValueError("at least one variable must remain for the hypothesis")
+    if not 0 <= count < n:
+        raise ValueError(
+            f"evidence count {count} out of range: the network has {n} variables "
+            "and one must remain for the hypothesis"
+        )
     rng = random.Random(seed)
     if strategy == "first":
         chosen = order[:count]

@@ -17,7 +17,6 @@ from bnmc.bif import (
     ProbabilityBlock,
     VariableBlock,
     _Parser,
-    declared_sizes,
     document_to_network,
     parse_bif,
     parse_bif_document,
@@ -285,8 +284,8 @@ def test_a_byte_order_mark_elsewhere_is_refused(text, message):
         assert str(info.value) == message
 
 
-def test_declared_sizes_give_the_chain_size_bound():
-    from bnmc.chain import prefix_bound, size_bound
+def test_shuffled_declared_parents_keep_the_chain_size_bound():
+    from bnmc.chain import size_bound
 
     rng = random.Random(11)
     for _ in range(30):
@@ -295,26 +294,51 @@ def test_declared_sizes_give_the_chain_size_bound():
         bound = size_bound(document_to_network(doc))
         # The order of the declared parents does not change the bound.
         for block in doc.probabilities:
-            block.parents = tuple(rng.sample(block.parents, len(block.parents)))
-        assert prefix_bound(declared_sizes(doc)) == bound
+            order = rng.sample(range(len(block.parents)), len(block.parents))
+            block.parents = tuple(block.parents[i] for i in order)
+            block.entries = tuple(
+                (tuple(key[i] for i in order), row) for key, row in block.entries
+            )
+        assert size_bound(validated_network(doc)) == bound
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda doc: doc.variables.append(doc.variables[0]),  # repeated name
-        lambda doc: doc.probabilities.pop(),  # a variable without a block
-        lambda doc: setattr(doc.probabilities[0], "parents", ("nowhere",)),
-        lambda doc: setattr(doc.probabilities[1], "parents", ("Dif", "Dif")),  # repeated
-        lambda doc: doc.probabilities.__setitem__(0, doc.probabilities[1]),  # owner twice
-        lambda doc: setattr(doc.probabilities[0], "parents", ("Mood",)),  # a cycle
+        (lambda doc: doc.variables.append(doc.variables[0]), "variable Dif declared twice"),
+        (lambda doc: doc.probabilities.pop(), "no probability block for variable Mood"),
+        (
+            lambda doc: setattr(doc.probabilities[0], "parents", ("nowhere",)),
+            "probability block Dif: undeclared parent 'nowhere'",
+        ),
+        (
+            lambda doc: setattr(doc.probabilities[1], "parents", ("Dif", "Dif")),
+            "probability block Prep: parent Dif listed twice",
+        ),
+        (
+            lambda doc: doc.probabilities.__setitem__(0, doc.probabilities[1]),
+            "duplicate probability block for Prep",
+        ),
+        (
+            # A cycle whose tables fit their parents: only the order is wrong.
+            lambda doc: doc.probabilities.__setitem__(
+                0, ProbabilityBlock("Dif", ("Mood",), table=(0.6, 0.4) * 2)
+            ),
+            "invalid network: cycle detected involving edge Mood -> Dif",
+        ),
     ],
+    ids=["repeated-name", "no-block", "undeclared-parent", "repeated-parent",
+         "owner-twice", "cycle"],
 )
-def test_declared_sizes_refuse_an_unordered_structure(edit):
+def test_an_unordered_structure_is_refused_on_conversion(edit, message):
+    from bnmc.chain import prefix_bound, size_bound
+
     doc = parse_bif_document(write_bif(fixtures.student_mood()))
-    assert declared_sizes(doc) == [2, 2, 2, 2]
+    assert size_bound(validated_network(doc)) == prefix_bound([2, 2, 2, 2])
     edit(doc)
-    assert declared_sizes(doc) is None
+    with pytest.raises(BifParseError) as info:
+        validated_network(doc)
+    assert str(info.value) == message
 
 
 def test_roundtrip_fixture(student_mood):
@@ -688,6 +712,25 @@ def test_mutated_texts_read_as_pinned():
         digest.update(_read(text).encode("utf-8") + b"\0")
     assert digest.hexdigest() == (
         "ef8f1663a4c523fd3f0f4a687cfe712d5e8fe9b79dbdc2aa8dfca6ca0db52e30"
+    )
+
+
+def _convert(text: str) -> str:
+    try:
+        return repr(parse_bif(text))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_mutated_texts_convert_as_pinned():
+    # One digest over every mutant's network `repr`, or its exception type
+    # and message: a text with several faults must keep the refusal that
+    # comes first in the document.
+    digest = hashlib.sha256()
+    for text in _mutants():
+        digest.update(_convert(text).encode("utf-8") + b"\0")
+    assert digest.hexdigest() == (
+        "641417e3ca78b6fe52716517aab8e064a7beb0f6119f98601d8d85dec8232154"
     )
 
 

@@ -496,17 +496,18 @@ def _over_cap_chain_text() -> str:
     return write_bif(chain_bn(30))
 
 
-def test_translate_refuses_by_cap_before_converting_tables(tmp_path, capsys):
+def test_translate_reads_a_malformed_file_as_stats_does(tmp_path, capsys):
+    # The file is over the cap too: it is read before any chain is built.
     text = _over_cap_chain_text()
     row = re.search(r"\n  \(0\) ([^;]*);", text)
     text = text.replace(row.group(0), f"\n  (0) {row.group(1)}, 0.0;", 1)
     path = tmp_path / "bad_row.bif"
     path.write_text(text, encoding="utf-8")
-    code, _, err = run(["stats", str(path)], capsys)
-    assert code == 2 and "row has 3 entries" in err
+    code, _, stats_err = run(["stats", str(path)], capsys)
+    assert code == 2 and "row has 3 entries" in stats_err
     code, _, err = run(["translate", str(path), "--format", "dot"], capsys)
-    assert code == 4
-    assert str(2**31 - 1) in err
+    assert code == 2
+    assert err == stats_err
 
 
 def test_chain_bound_above_2_to_the_64_is_refused_by_the_cap(tmp_path, capsys):
@@ -964,6 +965,11 @@ def _repeated_parent(tmp_path, command):
             "counts must be whole numbers, got 'x'",
         ),
         (
+            lambda bif, psdd, tmp: ["bench", bif, "--counts", "4"],
+            "evidence count 4 out of range: the network has 4 variables "
+            "and one must remain for the hypothesis",
+        ),
+        (
             lambda bif, psdd, tmp: ["bench", bif, "--counts", ","],
             "counts must name at least one count, got ','",
         ),
@@ -1030,7 +1036,8 @@ def _repeated_parent(tmp_path, command):
             "{tmp}/p.psdd is not UTF-8 text: invalid start byte at offset 9",
         ),
     ],
-    ids=["value-not-in-domain", "negative-count", "non-integer-count", "comma-only-counts",
+    ids=["value-not-in-domain", "negative-count", "non-integer-count", "full-evidence-count",
+         "comma-only-counts",
          "empty-counts", "conflicting-binding",
          "partition-fails", "unknown-psdd-variable", "non-boolean-psdd-value",
          "repeated-parent-stats", "repeated-parent-translate", "config-not-json",

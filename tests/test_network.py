@@ -170,9 +170,24 @@ def _with_v2(bn: BayesianNetwork, **changes) -> BayesianNetwork:
             ),
             ["duplicate variable names"],
         ),
+        (
+            # Keys that do not compare are worded in the order the rows hold them.
+            lambda bn: replace(
+                bn,
+                cpts=(
+                    Cpt(owner=0, parents=(), rows={(): (0.5, 0.5), 5: (1.0,), "x": (1.0,)}),
+                    *bn.cpts[1:],
+                ),
+            ),
+            [
+                "variable v0: unexpected CPT row for parents 5",
+                "variable v0: unexpected CPT row for parents x",
+            ],
+        ),
     ],
     ids=["sparse-ids", "empty-domain", "duplicate-labels", "duplicate-names",
-         "cpt-count", "cpt-order", "row-width", "duplicate-names-and-row-sum"],
+         "cpt-count", "cpt-order", "row-width", "duplicate-names-and-row-sum",
+         "unordered-unexpected-keys"],
 )
 def test_validate_reports_networks_built_in_code(edit, messages):
     assert validate(_three_binaries()) == []
